@@ -12,18 +12,13 @@ from . import cli, dp, expr, localsearch, oracle, ritz, terrain
 from .cost import (
     CostMode,
     CostModel,
-    SegmentCostResult,
     SegmentTableau,
-    arc_element,
     path_cost,
     path_cost_profile,
-    segment_cost,
     segment_cost_batch,
     smooth_path_cost,
-    z_prime,
 )
 from .dp import (
-    NodeLabel,
     ProblemSpec,
     SolveDiagnostics,
     StageGrid,
@@ -61,15 +56,12 @@ __all__ = [
     "FieldDomainError",
     "Heightmap",
     "HeightmapField",
-    "NodeLabel",
     "ProblemSpec",
     "ScalarField2D",
-    "SegmentCostResult",
     "SegmentTableau",
     "SolveDiagnostics",
     "StageGrid",
     "Trajectory",
-    "arc_element",
     "build_grid",
     "cli",
     "default_corridor",
@@ -86,12 +78,10 @@ __all__ = [
     "path_cost_profile",
     "refinement_schedule",
     "ritz",
-    "segment_cost",
     "segment_cost_batch",
     "smooth_path_cost",
     "solve",
     "solve_refined",
     "terrain",
     "write_heightmap",
-    "z_prime",
 ]

@@ -43,6 +43,13 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "main"]
 
 _METHODS = ("dp", "local", "ritz")
 _MODES = {"full3d": CostMode.FULL_3D, "flat2d": CostMode.FLAT_2D}
+# Numeric solver options: type and smallest valid value (None: checked
+# per method in load_config).
+_NUMERIC_OPTIONS = {
+    "tau": (float, None), "gamma": (float, None), "epsilon": (float, None),
+    "m": (int, 1), "K": (int, 1), "q": (int, 2), "M": (int, 64),
+    "budget": (int, 1), "max_iter": (int, 1), "refine_levels": (int, 0),
+}
 
 
 class ConfigError(Exception):
@@ -102,6 +109,20 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return raw
+
+
+def _number(value, where: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
+
+
 def _field_config(raw, name: str) -> FieldConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"field '{name}' must be an object")
@@ -114,6 +135,8 @@ def _field_config(raw, name: str) -> FieldConfig:
     unknown = set(raw) - {"expression", "heightmap"}
     if unknown:
         raise ConfigError(f"field '{name}' has unknown keys {sorted(unknown)}")
+    if not isinstance(heightmap if expression is None else expression, str):
+        raise ConfigError(f"field '{name}' needs a string expression or heightmap path")
     return FieldConfig(expression=expression, heightmap=heightmap)
 
 
@@ -139,11 +162,11 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
 
-    problem_raw = _require(raw, "problem", "config")
-    l = float(_require(problem_raw, "l", "problem"))
-    y_l = float(_require(problem_raw, "y_l", "problem"))
+    problem_raw = _object(_require(raw, "problem", "config"), "problem")
+    l = _number(_require(problem_raw, "l", "problem"), "problem.l")
+    y_l = _number(_require(problem_raw, "y_l", "problem"), "problem.y_l")
 
-    fields_raw = _require(raw, "fields", "config")
+    fields_raw = _object(_require(raw, "fields", "config"), "fields")
     fields = {}
     for name in ("alpha", "beta"):
         fields[name] = _field_config(_require(fields_raw, name, "fields"), name)
@@ -154,7 +177,7 @@ def load_config(path: str | Path) -> RunConfig:
     mode = problem_raw.get("mode")
     if mode is None:
         mode = "full3d" if "phi" in fields else "flat2d"
-    if mode not in _MODES:
+    if not isinstance(mode, str) or mode not in _MODES:
         raise ConfigError(f"problem.mode must be one of {sorted(_MODES)}, got {mode!r}")
     if mode == "full3d" and "phi" not in fields:
         raise ConfigError("problem.mode 'full3d' requires a 'phi' field")
@@ -165,36 +188,50 @@ def load_config(path: str | Path) -> RunConfig:
     else:
         if not (isinstance(corridor_raw, list) and len(corridor_raw) == 2):
             raise ConfigError("problem.corridor must be [y_lo, y_hi]")
-        corridor = (float(corridor_raw[0]), float(corridor_raw[1]))
+        corridor = tuple(_number(v, "problem.corridor") for v in corridor_raw)
     problem = ProblemConfig(l=l, y_l=y_l, corridor=corridor, mode=mode)
 
-    solver_raw = raw.get("solver", {})
     solver = SolverConfig()
-    for key, value in solver_raw.items():
+    for key, value in _object(raw.get("solver", {}), "solver").items():
         if not hasattr(solver, key):
             raise ConfigError(f"unknown solver option '{key}'")
         setattr(solver, key, value)
     if solver.method not in _METHODS:
         raise ConfigError(f"solver.method must be one of {_METHODS}, got {solver.method!r}")
-    if solver.tau is not None:
-        solver.tau = float(solver.tau)
+    for name, (kind, least) in _NUMERIC_OPTIONS.items():
+        value = getattr(solver, name)
+        if value is None and getattr(SolverConfig, name) is None:
+            continue  # an option without a default may stay unset
+        value = _number(value, f"solver.{name}", kind)
+        if least is not None and value < least:
+            raise ConfigError(f"solver.{name} must be >= {least}, got {value}")
+        setattr(solver, name, value)
     if solver.method in ("dp", "local"):
-        if solver.gamma <= 0:
+        if not solver.gamma > 0:
             raise ConfigError(f"solver.gamma must be positive, got {solver.gamma}")
-        if solver.epsilon < 0:
+        if not solver.epsilon >= 0:
             raise ConfigError(f"solver.epsilon must be >= 0, got {solver.epsilon}")
+        if solver.tau is not None:
+            if not 0 < solver.tau <= l:
+                raise ConfigError(f"solver.tau must be in (0, l = {l}], got {solver.tau}")
+            delta = solver.gamma * solver.tau ** (1.0 + solver.epsilon)
+            if not 0 < delta <= corridor[1] - corridor[0]:
+                raise ConfigError(
+                    f"grid step delta = gamma * tau^(1+epsilon) = {delta} must be in "
+                    f"(0, corridor height {corridor[1] - corridor[0]}]"
+                )
 
     output = OutputConfig()
-    for key, value in raw.get("output", {}).items():
+    for key, value in _object(raw.get("output", {}), "output").items():
         if not hasattr(output, key):
             raise ConfigError(f"unknown output option '{key}'")
         setattr(output, key, str(value))
 
     gap_threshold = None
     if "verify" in raw:
-        gap_threshold = raw["verify"].get("gap_threshold")
+        gap_threshold = _object(raw["verify"], "verify").get("gap_threshold")
         if gap_threshold is not None:
-            gap_threshold = float(gap_threshold)
+            gap_threshold = _number(gap_threshold, "verify.gap_threshold")
 
     config = RunConfig(
         problem=problem,
@@ -240,14 +277,14 @@ def realize(config: RunConfig) -> dp.ProblemSpec:
     beta = _build_field(config, "beta")
     phi = _build_field(config, "phi") if "phi" in config.fields else None
     mask = _build_field(config, "mask") if "mask" in config.fields else None
-    model = CostModel(
-        alpha=alpha,
-        beta=beta,
-        phi=phi,
-        mode=_MODES[config.problem.mode],
-        quadrature_subdivisions=int(config.solver.q),
-    )
     try:
+        model = CostModel(
+            alpha=alpha,
+            beta=beta,
+            phi=phi,
+            mode=_MODES[config.problem.mode],
+            quadrature_subdivisions=config.solver.q,
+        )
         return dp.ProblemSpec(
             l=config.problem.l,
             y_l=config.problem.y_l,
@@ -263,12 +300,44 @@ def realize(config: RunConfig) -> dp.ProblemSpec:
 # solving and emission
 
 
-def _grid_for(config: RunConfig, spec: dp.ProblemSpec) -> dp.StageGrid:
+def _tau(config: RunConfig) -> float:
     s = config.solver
     if s.tau is None:
         raise ConfigError(f"solver.method '{s.method}' requires solver.tau")
-    delta = s.gamma * s.tau ** (1.0 + s.epsilon)
-    return dp.build_grid(spec, s.tau, delta)
+    return s.tau
+
+
+def _grid_for(config: RunConfig, spec: dp.ProblemSpec) -> dp.StageGrid:
+    tau = _tau(config)
+    s = config.solver
+    return dp.build_grid(spec, tau, s.gamma * tau ** (1.0 + s.epsilon))
+
+
+def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int, threads: int):
+    """Solve the halving schedule from solver.tau through ``dp.solve_refined``.
+
+    Returns one row per level (finest last) and the finest trajectory.
+    """
+    s = config.solver
+    schedule = dp.refinement_schedule(_tau(config), s.gamma, s.epsilon, k_max)
+    trajs = dp.solve_refined(spec, schedule, threads=threads)
+    rows = []
+    for (tau, delta), traj in zip(schedule, trajs):
+        n = traj.xs.size - 1
+        evals = traj.diagnostics.segment_cost_evaluations
+        rows.append(
+            {
+                "tau": tau,
+                "delta": delta,
+                "n": n,
+                "lattice_size": dp.lattice_size(spec.corridor, delta),
+                "segment_cost_evaluations": evals,
+                "evaluations_per_stage": evals / n,
+                "J": traj.cost,
+                "wall_time_s": traj.diagnostics.wall_time,
+            }
+        )
+    return rows, trajs[-1]
 
 
 def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
@@ -281,12 +350,12 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
             spec.model,
             spec.l,
             spec.y_l,
-            basis_size=int(s.K),
-            mesh_points=int(s.M),
-            budget=int(s.budget),
+            basis_size=s.K,
+            mesh_points=s.M,
+            budget=s.budget,
         )
         wall = time.perf_counter() - t0
-        xs = np.linspace(0.0, spec.l, int(s.M))
+        xs = np.linspace(0.0, spec.l, s.M)
         ys, _ = ritz.candidate_eval(result.candidate, xs)
         zs = dp._heights(spec.model, xs, ys)
         cost, _, _ = path_cost_profile(spec.model, xs, ys)
@@ -300,7 +369,7 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
         report.update(
             {
                 "J": traj.cost,
-                "grid": {"basis_size": int(s.K), "mesh_points": int(s.M)},
+                "grid": {"basis_size": s.K, "mesh_points": s.M},
                 "objective_smooth": result.cost,
                 "objective_evaluations": result.evaluations,
                 "budget_exhausted": not result.converged,
@@ -310,42 +379,30 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
         )
         return traj, report
 
-    grid = _grid_for(config, spec)
-    grid_info = {
-        "tau": grid.tau,
-        "delta": grid.delta,
-        "n": grid.n,
-        "lattice_size": grid.lattice_size(spec.corridor),
-    }
-    if s.method == "dp":
-        if s.refine_levels > 0:
-            schedule = dp.refinement_schedule(
-                s.tau, s.gamma, s.epsilon, int(s.refine_levels)
-            )
-            trajs = dp.solve_refined(spec, schedule, threads=threads)
-            traj = trajs[-1]
-            report["levels"] = [
-                {
-                    "tau": tau,
-                    "delta": delta,
-                    "J": t.cost,
-                    "segment_cost_evaluations": t.diagnostics.segment_cost_evaluations,
-                }
-                for (tau, delta), t in zip(schedule, trajs)
-            ]
-            finest = schedule[-1]
-            grid_info.update(tau=finest[0], delta=finest[1])
-            fine_grid = dp.build_grid(spec, finest[0], finest[1])
-            grid_info.update(n=fine_grid.n, lattice_size=fine_grid.lattice_size(spec.corridor))
-        else:
+    if s.method == "dp" and s.refine_levels > 0:
+        rows, traj = _ladder(config, spec, s.refine_levels, threads)
+        report["levels"] = [
+            {key: row[key] for key in ("tau", "delta", "J", "segment_cost_evaluations")}
+            for row in rows
+        ]
+        grid_info = {key: rows[-1][key] for key in ("tau", "delta", "n", "lattice_size")}
+    else:
+        grid = _grid_for(config, spec)
+        grid_info = {
+            "tau": grid.tau,
+            "delta": grid.delta,
+            "n": grid.n,
+            "lattice_size": grid.lattice_size(spec.corridor),
+        }
+        if s.method == "dp":
             traj = dp.solve(grid, spec, threads=threads)
-    else:  # local
-        traj, _ = localsearch.run(
-            spec, grid, m=int(s.m), max_iter=s.max_iter, threads=threads
-        )
-        report["iterations"] = traj.diagnostics.iterations
-        if traj.diagnostics.hit_max_iter:
-            report["hit_max_iter"] = True
+        else:  # local
+            traj, _ = localsearch.run(
+                spec, grid, m=s.m, max_iter=s.max_iter, threads=threads
+            )
+            report["iterations"] = traj.diagnostics.iterations
+            if traj.diagnostics.hit_max_iter:
+                report["hit_max_iter"] = True
     report.update(
         {
             "J": traj.cost,
@@ -489,31 +546,12 @@ def _cmd_bench(args) -> int:
         spec = realize(config)
         if config.solver.method == "ritz":
             raise ConfigError("bench needs a grid method; set solver.method to 'dp'")
-        if config.solver.tau is None:
-            raise ConfigError("bench requires solver.tau")
+        _tau(config)  # bench needs solver.tau
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    s = config.solver
-    threads = _resolve_threads(args)
-    rows = []
     try:
-        for tau, delta in dp.refinement_schedule(s.tau, s.gamma, s.epsilon, args.levels - 1):
-            grid = dp.build_grid(spec, tau, delta)
-            traj = dp.solve(grid, spec, threads=threads)
-            evals = traj.diagnostics.segment_cost_evaluations
-            rows.append(
-                {
-                    "tau": tau,
-                    "delta": delta,
-                    "n": grid.n,
-                    "lattice_size": grid.lattice_size(spec.corridor),
-                    "segment_cost_evaluations": evals,
-                    "evaluations_per_stage": evals / grid.n,
-                    "J": traj.cost,
-                    "wall_time_s": traj.diagnostics.wall_time,
-                }
-            )
+        rows, _ = _ladder(config, spec, args.levels - 1, _resolve_threads(args))
     except Exception as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2

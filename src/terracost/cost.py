@@ -12,13 +12,22 @@ built length times the length of road already completed between the origin
 and the working point (materials travel over the finished prefix).  That
 prefix length is the inner integral of Phi from 0 to x, which makes the
 functional non-additive over segments: every segment cost depends on the
-arc length accumulated before it.  All evaluators here therefore thread a
-``len_start`` prefix explicitly.
+arc length accumulated before it.
 
 In the flattened 2-D mode z' is dropped entirely and the relief is ignored.
 
+One kernel, :func:`_tableau`, samples the fields and integrates.  It prices
+a batch of pieces (segments or mesh cells), each with q + 1 samples, as
+the affine split delta_j = fixed_cost + prefix_slope * len_start plus the
+piece's own arc length, and leaves the ``len_start`` threading to its
+three callers:
+
+* :func:`segment_cost_batch` - every from/to pair of one stage transition;
+* :func:`path_cost_profile`  - all segments of one polyline at once;
+* :func:`smooth_path_cost`   - the mesh cells of a smooth candidate curve.
+
 Quadrature is a composite trapezoid rule with ``q`` subintervals per
-segment; the inner prefix integral uses trapezoid prefix sums over the same
+piece; the inner prefix integral uses trapezoid prefix sums over the same
 sample points, so inner and outer sampling stay aligned.
 """
 
@@ -35,15 +44,11 @@ from .terrain import ScalarField2D
 __all__ = [
     "CostMode",
     "CostModel",
-    "SegmentCostResult",
     "SegmentTableau",
-    "arc_element",
     "path_cost",
     "path_cost_profile",
-    "segment_cost",
     "segment_cost_batch",
     "smooth_path_cost",
-    "z_prime",
 ]
 
 
@@ -74,18 +79,13 @@ class CostModel:
             raise ValueError("full 3-D mode requires a relief field phi")
 
 
-class SegmentCostResult(NamedTuple):
-    delta_j: float
-    delta_len: float
-
-
 class SegmentTableau(NamedTuple):
-    """Per-pair segment costs split by their dependence on the prefix.
+    """Per-piece costs split by their dependence on the prefix.
 
-    A segment's added cost is affine in the arc length already built before
+    A piece's added cost is affine in the arc length already built before
     it: delta_j = fixed_cost + prefix_slope * len_start, where prefix_slope
-    is the integral of alpha * Phi over the segment.  ``delta_len`` is the
-    integral of Phi (the segment's own arc length).
+    is the integral of alpha * Phi over the piece.  ``delta_len`` is the
+    integral of Phi (the piece's own arc length).
     """
 
     fixed_cost: np.ndarray
@@ -93,32 +93,18 @@ class SegmentTableau(NamedTuple):
     delta_len: np.ndarray
 
 
-def z_prime(model: CostModel, x, y, yp):
-    """Slope of the height profile along the path; identically 0 in 2-D mode."""
-    if model.mode is CostMode.FLAT_2D:
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(yp))
-        return 0.0 if shape == () else np.zeros(shape)
-    _, px, py = model.phi.value_and_partials(x, y)
-    return px + py * yp
+def _trapz(g: np.ndarray, h) -> np.ndarray:
+    # Composite trapezoid along the last axis; h broadcasts against g.
+    ends = 0.5 * (g[..., :1] + g[..., -1:])
+    return (h * (ends + g[..., 1:-1].sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def arc_element(model: CostModel, x, y, yp):
-    """3-D arc-length density sqrt(1 + y'^2 + z'^2); always >= 1."""
-    zp = z_prime(model, x, y, yp)
-    return np.sqrt(1.0 + yp * yp + zp * zp)
-
-
-def _trapz(g: np.ndarray, h: float) -> np.ndarray:
-    # Composite trapezoid along the last axis, uniform spacing h.
-    return h * (0.5 * (g[..., 0] + g[..., -1]) + g[..., 1:-1].sum(axis=-1))
-
-
-def _tableau(model: CostModel, xs, ys, yp, h: float) -> SegmentTableau:
-    """Shared kernel: integrate one batch of linear segments.
+def _tableau(model: CostModel, xs, ys, yp, h) -> SegmentTableau:
+    """The quadrature kernel: integrate one batch of pieces.
 
     ``xs``/``ys`` are sample grids whose last axis holds q+1 quadrature
-    points per segment; ``yp`` is the (constant) slope per segment,
-    broadcastable against them.
+    points per piece; ``yp`` is the path slope at the samples and ``h`` the
+    sample spacing of each piece, both broadcastable against them.
     """
     if model.mode is CostMode.FULL_3D:
         _, px, py = model.phi.value_and_partials(xs, ys)
@@ -128,7 +114,7 @@ def _tableau(model: CostModel, xs, ys, yp, h: float) -> SegmentTableau:
         phi_arc = np.sqrt(1.0 + yp * yp)
     phi_arc = np.broadcast_to(phi_arc, ys.shape)
 
-    # Within-segment arc-length prefix (trapezoid prefix sums).
+    # Within-piece arc-length prefix (trapezoid prefix sums).
     panel = 0.5 * h * (phi_arc[..., :-1] + phi_arc[..., 1:])
     prefix = np.concatenate(
         [np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)], axis=-1
@@ -142,6 +128,16 @@ def _tableau(model: CostModel, xs, ys, yp, h: float) -> SegmentTableau:
     return SegmentTableau(fixed, slope, prefix[..., -1])
 
 
+def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to) -> SegmentTableau:
+    # Straight segments (x_start, y_from) -> (x_start + tau, y_to); the
+    # arguments broadcast against each other with a trailing sample axis.
+    q = model.quadrature_subdivisions
+    ts = np.arange(q + 1) / q
+    xs = x_start + tau * ts
+    ys = y_from + (y_to - y_from) * ts
+    return _tableau(model, xs, ys, (y_to - y_from) / tau, tau / q)
+
+
 def segment_cost_batch(
     model: CostModel, x_start: float, tau: float, y_from, y_to
 ) -> SegmentTableau:
@@ -152,49 +148,18 @@ def segment_cost_batch(
     """
     if tau <= 0:
         raise ValueError(f"segment width must be positive, got {tau}")
-    q = model.quadrature_subdivisions
-    h = tau / q
-    ts = np.arange(q + 1) / q
-    xs = x_start + tau * ts
     yf = np.asarray(y_from, dtype=float)[:, None, None]
     yt = np.asarray(y_to, dtype=float)[None, :, None]
-    ys = yf + (yt - yf) * ts
-    yp = (yt - yf) / tau
-    return _tableau(model, xs, ys, yp, h)
-
-
-def segment_cost(
-    model: CostModel,
-    x_start: float,
-    y_start: float,
-    y_end: float,
-    tau: float,
-    len_start: float = 0.0,
-) -> SegmentCostResult:
-    """Added cost and added arc length of one linear segment.
-
-    ``len_start`` is the arc length of the path prefix already built before
-    this segment; the delivery term integrates alpha * Phi * (len_start +
-    within-segment prefix).
-    """
-    if len_start < 0:
-        raise ValueError(f"len_start must be non-negative, got {len_start}")
-    tab = segment_cost_batch(model, x_start, tau, [y_start], [y_end])
-    delta_j = float(tab.fixed_cost[0, 0] + len_start * tab.prefix_slope[0, 0])
-    delta_len = float(tab.delta_len[0, 0])
-    if not np.isfinite(delta_j) or not np.isfinite(delta_len):
-        raise ValueError(
-            "non-finite segment cost: fields are singular along the segment"
-        )
-    return SegmentCostResult(delta_j, delta_len)
+    return _linear_tableau(model, x_start, tau, yf, yt)
 
 
 def path_cost_profile(model: CostModel, xs, ys):
     """Cost of a polyline plus its cumulative length/cost per knot.
 
-    Returns (total_cost, cum_length, cum_cost); the prefix length threads
-    through segments exactly as the stage sweep does, so a solver's reported
-    cost and this evaluation of its knots agree to rounding.
+    Returns (total_cost, cum_length, cum_cost).  All segments are priced in
+    one kernel call, and the prefix length threads through them in the stage
+    sweep's (total + fixed) + length * slope order, so a solver's reported
+    cost and this evaluation of its knots agree bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -204,18 +169,15 @@ def path_cost_profile(model: CostModel, xs, ys):
         raise ValueError("polyline x-knots must be strictly increasing")
     if abs(xs[0]) > 1e-12:
         raise ValueError(f"polyline must start at x = 0, got {xs[0]}")
-    cum_len = np.zeros(xs.size)
-    cum_cost = np.zeros(xs.size)
-    total = 0.0
-    length = 0.0
-    for i in range(xs.size - 1):
-        tab = segment_cost_batch(model, xs[i], xs[i + 1] - xs[i], [ys[i]], [ys[i + 1]])
-        # Same association order as the stage sweep, so a solver's terminal
-        # label and the re-evaluation of its knots agree bit for bit.
-        total = float((total + tab.fixed_cost[0, 0]) + length * tab.prefix_slope[0, 0])
-        length = float(length + tab.delta_len[0, 0])
-        cum_len[i + 1] = length
-        cum_cost[i + 1] = total
+    tab = _linear_tableau(
+        model, xs[:-1, None], np.diff(xs)[:, None], ys[:-1, None], ys[1:, None]
+    )
+    cum_len = np.concatenate([[0.0], np.cumsum(tab.delta_len)])
+    # cumsum is sequential: over 0, fixed_0, len_0*slope_0, fixed_1, ... its
+    # even entries are the running totals in the sweep's association order.
+    terms = np.stack([tab.fixed_cost, cum_len[:-1] * tab.prefix_slope], axis=-1)
+    cum_cost = np.cumsum(np.concatenate([[0.0], terms.ravel()]))[::2]
+    total = float(cum_cost[-1])
     if not np.isfinite(total):
         raise ValueError("non-finite path cost: fields are singular along the path")
     return total, cum_len, cum_cost
@@ -229,17 +191,16 @@ def path_cost(model: CostModel, xs, ys) -> float:
 
 def smooth_path_cost(
     model: CostModel,
-    y: Callable,
-    yp: Callable,
+    curve: Callable,
     mesh_points: int,
     length: float,
 ) -> float:
     """Functional value of a smooth candidate y(x) on [0, length].
 
-    The span is split into ``mesh_points`` - 1 cells; inside each cell the
-    same composite trapezoid scheme samples the exact y and y' callables (no
-    chord approximation), and the inner delivery integral threads
-    cumulatively across cells.  ``y``/``yp`` must accept numpy arrays.
+    ``curve(x)`` returns the pair (y, y') and must accept numpy arrays.  The
+    span is split into ``mesh_points`` - 1 cells; inside each cell the same
+    composite trapezoid scheme samples the exact curve (no chord
+    approximation), and the prefix length threads across cells.
     """
     if mesh_points < 64:
         raise ValueError(f"mesh_points must be >= 64, got {mesh_points}")
@@ -248,33 +209,11 @@ def smooth_path_cost(
     q = model.quadrature_subdivisions
     mesh = np.linspace(0.0, length, mesh_points)
     cell = length / (mesh_points - 1)
-    h = cell / q
-    ts = np.arange(q + 1) / q
-    xs = mesh[:-1, None] + cell * ts  # (cells, q+1)
-    ys = y(xs)
-    yps = yp(xs)
-
-    if model.mode is CostMode.FULL_3D:
-        _, px, py = model.phi.value_and_partials(xs, ys)
-        zp = px + py * yps
-        phi_arc = np.sqrt(1.0 + yps * yps + zp * zp)
-    else:
-        phi_arc = np.broadcast_to(np.sqrt(1.0 + yps * yps), xs.shape)
-
-    panel = 0.5 * h * (phi_arc[:, :-1] + phi_arc[:, 1:])
-    prefix = np.concatenate(
-        [np.zeros((xs.shape[0], 1)), np.cumsum(panel, axis=1)], axis=1
-    )
-    cell_len = prefix[:, -1]
-    len_start = np.concatenate([[0.0], np.cumsum(cell_len)[:-1]])[:, None]
-
-    a = np.broadcast_to(np.asarray(model.alpha.value(xs, ys)), xs.shape)
-    b = np.broadcast_to(np.asarray(model.beta.value(xs, ys)), xs.shape)
-    delivery = a * phi_arc
-    total = float(
-        np.sum(_trapz(delivery * (len_start + prefix), h))
-        + np.sum(_trapz(b * phi_arc, h))
-    )
+    xs = mesh[:-1, None] + cell * (np.arange(q + 1) / q)  # (cells, q+1)
+    ys, yps = curve(xs)
+    tab = _tableau(model, xs, ys, yps, cell / q)
+    len_start = np.concatenate([[0.0], np.cumsum(tab.delta_len)[:-1]])
+    total = float(np.sum(tab.fixed_cost + len_start * tab.prefix_slope))
     if not np.isfinite(total):
         raise ValueError("non-finite path cost: fields are singular along the path")
     return total

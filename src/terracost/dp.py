@@ -5,7 +5,8 @@ and, at each interior stage, the feasible subset of the ordinate lattice
 y_lo + k*delta.  The first and last stages are the fixed endpoints.  A
 forward sweep labels every node with the cheapest cost-to-come d, choosing
 for each node of stage i+1 the best predecessor in stage i; backtracking
-from the terminal node yields the optimal polyline over the grid.
+the stored predecessor indices from the terminal node yields the optimal
+polyline over the grid.  Only the current stage's labels are kept.
 
 Because the delivery term makes segment costs depend on the arc length of
 the path prefix, each label also carries the accumulated arc length of its
@@ -13,7 +14,9 @@ own chosen prefix, and candidate arcs are priced with the predecessor's
 stored length.  This keeps the recursion well-defined; it is exact when the
 delivery rate is identically zero and a scalar-label approximation
 otherwise (the exhaustive reference solver in :mod:`terracost.oracle`
-measures the gap).
+measures the gap).  A label that is not finite (singular or overflowing
+fields) stops the sweep with an error naming its stage, so it can never
+pick a path.
 
 Refinement follows the coupling delta_k = gamma * tau_k^(1+eps): halving
 tau while shrinking delta strictly faster is what makes the refined optima
@@ -27,7 +30,6 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +37,13 @@ from .cost import CostModel, SegmentTableau, segment_cost_batch
 from .terrain import ScalarField2D, feasible
 
 __all__ = [
-    "NodeLabel",
     "ProblemSpec",
     "SolveDiagnostics",
     "StageGrid",
     "Trajectory",
     "build_grid",
     "default_corridor",
+    "lattice_size",
     "refinement_schedule",
     "solve",
     "solve_refined",
@@ -110,16 +112,13 @@ class StageGrid:
 
     def lattice_size(self, corridor: tuple[float, float]) -> int:
         """Number of ordinate lattice nodes spanning the corridor."""
-        y_lo, y_hi = corridor
-        return int(np.floor((y_hi - y_lo) / self.delta + 1e-9)) + 1
+        return lattice_size(corridor, self.delta)
 
 
-class NodeLabel(NamedTuple):
-    """Sweep state of one grid node."""
-
-    d: float
-    length: float
-    pred: int
+def lattice_size(corridor: tuple[float, float], delta: float) -> int:
+    """Number of ordinate lattice nodes y_lo + k*delta inside the corridor."""
+    y_lo, y_hi = corridor
+    return int(np.floor((y_hi - y_lo) / delta + 1e-9)) + 1
 
 
 @dataclass
@@ -159,8 +158,7 @@ def build_grid(spec: ProblemSpec, tau: float, delta: float) -> StageGrid:
     n = max(1, round(spec.l / tau))
     xs = np.arange(n + 1) * (spec.l / n)
     xs[n] = spec.l  # guard the terminal node against rounding drift
-    k_max = int(np.floor((y_hi - y_lo) / delta + 1e-9))
-    lattice = y_lo + delta * np.arange(k_max + 1)
+    lattice = y_lo + delta * np.arange(lattice_size(spec.corridor, delta))
     stages: list[np.ndarray] = [np.array([0.0])]
     for i in range(1, n):
         keep = feasible(spec.mask, np.full(lattice.shape, xs[i]), lattice)
@@ -202,12 +200,15 @@ def _transition_tableau(
 
 
 def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None, workers: int = 1):
-    """Forward pass; returns per-stage label arrays and the evaluation count."""
+    """Forward pass over all stages.
+
+    Returns the predecessor arrays of stages 1..n, the terminal cost-to-come
+    labels and the evaluation count.
+    """
     model = spec.model
     d = np.zeros(1)
     length = np.zeros(1)
-    preds: list[np.ndarray] = [np.array([-1])]
-    labels = [(d, length, preds[0])]
+    preds: list[np.ndarray] = []
     evaluations = 0
     for i in range(grid.n):
         y_from = grid.stages[i]
@@ -223,10 +224,15 @@ def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None, workers: int = 1):
         best = np.argmin(candidates, axis=0)
         cols = np.arange(y_to.size)
         d = candidates[best, cols]
+        if not np.all(np.isfinite(d)):
+            x = float(grid.xs[i + 1])
+            raise ValueError(
+                f"non-finite cost-to-come at stage {i + 1} (x = {x!r}): "
+                "fields are singular or overflow there"
+            )
         length = length[best] + tab.delta_len[best, cols]
         preds.append(best)
-        labels.append((d, length, best))
-    return labels, evaluations
+    return preds, d, evaluations
 
 
 def solve(grid: StageGrid, spec: ProblemSpec, threads: int = 1) -> Trajectory:
@@ -240,13 +246,12 @@ def solve(grid: StageGrid, spec: ProblemSpec, threads: int = 1) -> Trajectory:
     t0 = time.perf_counter()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as executor:
-            labels, evaluations = _sweep(grid, spec, executor, threads)
+            preds, terminal_d, evaluations = _sweep(grid, spec, executor, threads)
     else:
-        labels, evaluations = _sweep(grid, spec)
-    terminal_d = labels[-1][0]
+        preds, terminal_d, evaluations = _sweep(grid, spec)
     idx = [0]
-    for i in range(grid.n, 0, -1):
-        idx.append(int(labels[i][2][idx[-1]]))
+    for best in reversed(preds):
+        idx.append(int(best[idx[-1]]))
     idx.reverse()
     ys = np.array([grid.stages[i][idx[i]] for i in range(grid.n + 1)])
     zs = _heights(spec.model, grid.xs, ys)
@@ -263,15 +268,6 @@ def _heights(model: CostModel, xs, ys):
         return np.zeros_like(np.asarray(xs, dtype=float))
     v = model.phi.value(xs, ys)
     return np.asarray(v, dtype=float)
-
-
-def sweep_labels(grid: StageGrid, spec: ProblemSpec) -> list[list[NodeLabel]]:
-    """Per-stage node labels of the forward sweep (for inspection/tests)."""
-    labels, _ = _sweep(grid, spec)
-    return [
-        [NodeLabel(float(d[k]), float(length[k]), int(pred[k])) for k in range(d.size)]
-        for d, length, pred in labels
-    ]
 
 
 def refinement_schedule(

@@ -73,11 +73,7 @@ def candidate_eval(candidate: RitzCandidate, x):
 def objective(candidate: RitzCandidate, model: CostModel) -> float:
     """Smooth-path cost of the candidate on its quadrature mesh."""
     return smooth_path_cost(
-        model,
-        lambda x: candidate_eval(candidate, x)[0],
-        lambda x: candidate_eval(candidate, x)[1],
-        candidate.mesh_points,
-        candidate.span,
+        model, lambda x: candidate_eval(candidate, x), candidate.mesh_points, candidate.span
     )
 
 

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from terracost import CostMode, CostModel, field_from_expression, path_cost
-from terracost.cli import ConfigError, load_config, main
+from terracost import CostMode, CostModel, build_grid, field_from_expression, path_cost
+from terracost.cli import ConfigError, load_config, main, realize
 
 from conftest import RIDGE_ALPHA, RIDGE_BETA
 
@@ -183,6 +183,51 @@ def test_missing_heightmap_exits_1_naming_path(tmp_path, capsys):
     assert "missing_terrain.hm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"solver": {"method": "dp", "tau": 0.125, "q": 15}}, id="odd-q"),
+        pytest.param({"solver": {"method": "dp", "tau": "abc"}}, id="tau-not-a-number"),
+        pytest.param({"verify": 5}, id="verify-not-an-object"),
+        pytest.param({"problem": 5}, id="problem-not-an-object"),
+        pytest.param(
+            {"problem": {"l": 1.0, "y_l": 1.0, "mode": ["flat2d"]}}, id="mode-not-a-string"
+        ),
+        pytest.param(
+            {"fields": {"alpha": {"expression": 0}, "beta": {"heightmap": 5}}},
+            id="field-not-a-string",
+        ),
+        pytest.param({"solver": {"method": "dp", "tau": 2}}, id="tau-above-span"),
+        pytest.param({"solver": {"method": "local", "tau": 0.125, "m": 0}}, id="local-m-0"),
+        pytest.param(
+            {"solver": {"method": "local", "tau": 0.125, "max_iter": 0}}, id="local-max-iter-0"
+        ),
+    ],
+)
+def test_bad_config_exits_1_with_config_error(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, **overrides)
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_finite_cost_is_solver_error_naming_stage(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        fields={"alpha": {"expression": "0"}, "beta": {"expression": "exp(900*y)-exp(900*y)"}},
+        solver={"method": "dp", "tau": 0.25, "epsilon": 0.5},
+    )
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:")
+    assert "stage 1" in err
+    assert not out.exists()
+
+
 def test_missing_tau_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, solver={"method": "dp"})
     assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 1
@@ -269,6 +314,16 @@ def test_refine_levels_reported(tmp_path):
     assert js[0] == pytest.approx(1.49633, rel=0.01)
     assert js[2] == pytest.approx(1.44337, rel=0.01)
     assert report["J"] == js[-1]
+    # The grid block describes the finest level.
+    finest = report["levels"][-1]
+    spec = realize(load_config(config))
+    grid = build_grid(spec, finest["tau"], finest["delta"])
+    assert report["grid"] == {
+        "tau": grid.tau,
+        "delta": grid.delta,
+        "n": grid.n,
+        "lattice_size": grid.lattice_size(spec.corridor),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -323,4 +378,14 @@ def test_bench_reports_growth(tmp_path, capsys):
     assert "per-stage" in capsys.readouterr().out
     rows = json.loads(out_json.read_text())
     assert len(rows) == 2
+    assert list(rows[0]) == [
+        "tau",
+        "delta",
+        "n",
+        "lattice_size",
+        "segment_cost_evaluations",
+        "evaluations_per_stage",
+        "J",
+        "wall_time_s",
+    ]
     assert rows[1]["segment_cost_evaluations"] > rows[0]["segment_cost_evaluations"]

@@ -1,5 +1,8 @@
 """Cost functional: arc element, segment pricing, path and smooth costs.
 
+Every evaluator shares one quadrature kernel, so the arc element and the
+segment prices are checked through ``segment_cost_batch`` and ``path_cost``.
+
 Closed-form checks anchor the quadrature: on flat terrain with constant
 rates every integral here has an exact value.  The frozen series
 coefficients in conftest probe the two benchmark problems end to end.
@@ -13,22 +16,17 @@ import pytest
 from terracost import (
     CostMode,
     CostModel,
-    arc_element,
     field_from_expression,
-    parse,
     path_cost,
     path_cost_profile,
-    segment_cost,
     segment_cost_batch,
     smooth_path_cost,
-    z_prime,
 )
 from terracost.ritz import RitzCandidate, candidate_eval
 
 from conftest import (
     SERIES_COEFFS_RELIEF,
     SERIES_COEFFS_RIDGE,
-    make_flat_spec,
     make_relief3d_spec,
     make_ridge2d_spec,
 )
@@ -75,33 +73,54 @@ def test_full3d_requires_phi():
 
 
 # ---------------------------------------------------------------------------
-# z' and the arc element
+# z' and the arc element, seen through a segment's own length delta_len
+
+
+def segment(model, x0, y0, y1, tau):
+    """Tableau entries of one segment as plain floats."""
+    tab = segment_cost_batch(model, x0, tau, [y0], [y1])
+    return tuple(float(v[0, 0]) for v in tab)
 
 
 def test_z_prime_linear_ramp():
-    assert z_prime(full3d_model("x"), 0.2, 0.3, 0.0) == 1.0
+    # phi = x: z' = 1 on a level segment, so the arc element is sqrt(2).
+    _, _, delta_len = segment(full3d_model("x"), 0.2, 0.3, 0.3, 0.25)
+    assert delta_len == pytest.approx(0.25 * SQRT2, abs=1e-15)
 
 
 def test_z_prime_vanishes_at_origin():
-    assert z_prime(full3d_model("sin(5*x)*sin(y)"), 0.0, 0.0, 1.0) == 0.0
+    # z' = 5cos(5x)sin(y) + sin(5x)cos(y)y' is 0 at the origin: a short
+    # segment there along y = x has the flat arc element sqrt(2).
+    tau = 1e-6
+    _, _, delta_len = segment(full3d_model("sin(5*x)*sin(y)"), 0.0, 0.0, tau, tau)
+    assert delta_len / tau == pytest.approx(SQRT2, abs=1e-9)
 
 
 def test_z_prime_flat_mode_is_zero():
-    assert z_prime(flat_model(), 0.4, -0.7, 3.0) == 0.0
+    # Flattened mode ignores a steep relief entirely.
+    model = CostModel(
+        alpha=field_from_expression("0"),
+        beta=field_from_expression("1"),
+        phi=field_from_expression("10*x+7*y"),
+        mode=CostMode.FLAT_2D,
+    )
+    _, _, delta_len = segment(model, 0.4, -0.7, -0.1, 0.2)  # slope 3
+    assert delta_len == pytest.approx(0.2 * np.sqrt(10.0), abs=1e-15)
 
 
 def test_arc_element_unit_slope():
-    assert arc_element(flat_model(), 0.0, 0.0, 1.0) == pytest.approx(SQRT2, abs=1e-15)
+    _, _, delta_len = segment(flat_model(), 0.0, 0.0, 1.0, 1.0)
+    assert delta_len == pytest.approx(SQRT2, abs=1e-15)
 
 
 def test_arc_element_zero_slope():
-    assert arc_element(flat_model(), 0.3, 0.3, 0.0) == 1.0
+    _, _, delta_len = segment(flat_model(), 0.25, 0.3, 0.3, 0.5)
+    assert delta_len == 0.5
 
 
 def test_arc_element_ramp_terrain():
-    assert arc_element(full3d_model("x"), 0.1, 0.1, 0.0) == pytest.approx(
-        SQRT2, abs=1e-15
-    )
+    _, _, delta_len = segment(full3d_model("x"), 0.0, 0.1, 0.1, 1.0)
+    assert delta_len == pytest.approx(SQRT2, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +128,24 @@ def test_arc_element_ramp_terrain():
 
 
 def test_constant_beta_segment():
-    result = segment_cost(flat_model(alpha="0", beta="2"), 0.0, 0.0, 0.0, 1.0, 0.0)
-    assert result.delta_j == pytest.approx(2.0, abs=1e-12)
-    assert result.delta_len == pytest.approx(1.0, abs=1e-12)
+    fixed, slope, delta_len = segment(flat_model(alpha="0", beta="2"), 0.0, 0.0, 0.0, 1.0)
+    assert fixed == pytest.approx(2.0, abs=1e-12)
+    assert slope == 0.0
+    assert delta_len == pytest.approx(1.0, abs=1e-12)
 
 
 def test_delivery_only_diagonal_segment():
     # alpha = 1, beta = 0 on the unit diagonal: integral of sqrt2 * (sqrt2 x).
-    result = segment_cost(flat_model(alpha="1", beta="0"), 0.0, 0.0, 1.0, 1.0, 0.0)
-    assert result.delta_j == pytest.approx(1.0, abs=1e-9)
-    assert result.delta_len == pytest.approx(SQRT2, abs=1e-12)
+    fixed, _, delta_len = segment(flat_model(alpha="1", beta="0"), 0.0, 0.0, 1.0, 1.0)
+    assert fixed == pytest.approx(1.0, abs=1e-9)
+    assert delta_len == pytest.approx(SQRT2, abs=1e-12)
 
 
 def test_prefix_length_multiplies_through():
-    result = segment_cost(flat_model(alpha="1", beta="0"), 0.0, 0.0, 1.0, 1.0, 3.0)
-    assert result.delta_j == pytest.approx(1.0 + 3.0 * SQRT2, abs=1e-9)
+    # A prefix of length 3 adds 3 * integral(alpha * Phi) = 3 * sqrt2.
+    fixed, slope, _ = segment(flat_model(alpha="1", beta="0"), 0.0, 0.0, 1.0, 1.0)
+    assert slope == pytest.approx(SQRT2, abs=1e-12)
+    assert fixed + 3.0 * slope == pytest.approx(1.0 + 3.0 * SQRT2, abs=1e-9)
 
 
 def test_delta_len_never_below_horizontal_run():
@@ -133,42 +155,56 @@ def test_delta_len_never_below_horizontal_run():
         x0 = rng.uniform(0.0, 0.8)
         tau = rng.uniform(0.05, 0.2)
         y0, y1 = rng.uniform(0.0, 1.0, size=2)
-        result = segment_cost(model, x0, y0, y1, tau, rng.uniform(0.0, 2.0))
-        assert result.delta_len >= tau - 1e-12
-        assert np.isfinite(result.delta_j)
+        fixed, slope, delta_len = segment(model, x0, y0, y1, tau)
+        assert delta_len >= tau - 1e-12
+        assert np.isfinite(fixed + rng.uniform(0.0, 2.0) * slope)
 
 
 def test_segment_cost_is_affine_in_prefix():
+    # Inside path_cost a segment adds fixed + L * slope for the arc length L
+    # built before it: two prefixes ending at the same knot change the
+    # second segment's cost by (L1 - L0) * slope.
     model = make_ridge2d_spec().model
-    tab = segment_cost_batch(model, 0.25, 0.125, [0.3], [0.45])
-    slope = float(tab.prefix_slope[0, 0])
+    fixed, slope, _ = segment(model, 0.25, 0.3, 0.45, 0.125)
     assert slope >= 0.0  # alpha >= 0 on the corridor
-    j0 = segment_cost(model, 0.25, 0.3, 0.45, 0.125, 0.0).delta_j
-    j1 = segment_cost(model, 0.25, 0.3, 0.45, 0.125, 1.0).delta_j
-    j2 = segment_cost(model, 0.25, 0.3, 0.45, 0.125, 2.0).delta_j
-    assert j1 - j0 == pytest.approx(slope, abs=1e-12)
-    assert j2 - j1 == pytest.approx(j1 - j0, abs=1e-12)
-    assert j1 >= j0 and j2 >= j1
+    xs = [0.0, 0.25, 0.375]
+    added = []
+    lengths = []
+    for y0 in (0.3, 0.0):  # a level and a climbing first segment
+        ys = [y0, 0.3, 0.45]
+        total, cum_len, cum_cost = path_cost_profile(model, xs, ys)
+        assert total == (cum_cost[1] + fixed) + cum_len[1] * slope
+        added.append(total - cum_cost[1])
+        lengths.append(cum_len[1])
+    assert lengths[1] > lengths[0]
+    assert added[1] - added[0] == pytest.approx((lengths[1] - lengths[0]) * slope, abs=1e-12)
+    assert added[1] >= added[0]
 
 
 def test_batch_matches_scalar_segment_cost():
+    # The stage outer product and the polyline pricer share one kernel:
+    # each pair of the batch equals the single segment priced by path_cost.
     model = make_relief3d_spec().model
     y_from = np.array([0.0, 0.25, 0.5])
     y_to = np.array([0.125, 0.375])
-    tab = segment_cost_batch(model, 0.5, 0.0625, y_from, y_to)
+    tab = segment_cost_batch(model, 0.0, 0.0625, y_from, y_to)
     for k, yf in enumerate(y_from):
         for s, yt in enumerate(y_to):
-            single = segment_cost(model, 0.5, yf, yt, 0.0625, 0.0)
-            assert single.delta_j == tab.fixed_cost[k, s]
-            assert single.delta_len == tab.delta_len[k, s]
+            total, cum_len, _ = path_cost_profile(model, [0.0, 0.0625], [yf, yt])
+            assert total == tab.fixed_cost[k, s]
+            assert cum_len[-1] == tab.delta_len[k, s]
 
 
 def test_segment_preconditions():
     model = flat_model()
-    with pytest.raises(ValueError, match="positive"):
-        segment_cost(model, 0.0, 0.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="non-negative"):
-        segment_cost(model, 0.0, 0.0, 1.0, 1.0, -0.5)
+    for tau in (0.0, -0.5):
+        with pytest.raises(ValueError, match="positive"):
+            segment_cost_batch(model, 0.0, tau, [0.0], [1.0])
+    # A polyline has no zero-width segments, and its prefix starts at 0.
+    with pytest.raises(ValueError, match="strictly increasing"):
+        path_cost(model, [0.0, 0.0, 1.0], [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="start at x = 0"):
+        path_cost(model, [0.5, 1.0], [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +231,15 @@ def test_grouping_invariance():
     ys = np.clip(xs + rng.normal(scale=0.1, size=9), 0.0, 1.0)
     ys[0], ys[-1] = 0.0, 1.0
     total = path_cost(model, xs, ys)
+    # Reference: one segment at a time, threading the prefix by hand in the
+    # stage sweep's association order.
     accumulated = 0.0
     length = 0.0
     for i in range(8):
-        dj, dl = segment_cost(model, xs[i], ys[i], ys[i + 1], xs[i + 1] - xs[i], length)
-        accumulated += dj
-        length += dl
-    assert abs(total - accumulated) <= 1e-12
+        tab = segment_cost_batch(model, xs[i], xs[i + 1] - xs[i], [ys[i]], [ys[i + 1]])
+        accumulated = (accumulated + tab.fixed_cost[0, 0]) + length * tab.prefix_slope[0, 0]
+        length = length + tab.delta_len[0, 0]
+    assert total == accumulated
 
 
 def test_profile_is_cumulative_and_consistent():
@@ -245,7 +283,8 @@ def test_quadrature_error_shrinks_quadratically():
     values = []
     for q in (4, 8, 16, 32, 64):
         model = make_ridge2d_spec(q=q).model
-        values.append(segment_cost(model, 0.1, 0.1, 0.8, 0.5, 0.3).delta_j)
+        fixed, slope, _ = segment(model, 0.1, 0.1, 0.8, 0.5)
+        values.append(fixed + 0.3 * slope)
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     for d1, d2 in zip(diffs, diffs[1:]):
         assert 3.2 <= d1 / d2 <= 4.8
@@ -255,22 +294,26 @@ def test_quadrature_error_shrinks_quadratically():
 # smooth candidates
 
 
+def chord(x):
+    return x, np.ones_like(x)
+
+
 def test_smooth_matches_polyline_for_linear_path():
     model = make_ridge2d_spec().model
-    smooth = smooth_path_cost(model, lambda x: x, lambda x: np.ones_like(x), 512, 1.0)
+    smooth = smooth_path_cost(model, chord, 512, 1.0)
     xs = np.linspace(0.0, 1.0, 512)
     assert abs(smooth - path_cost(model, xs, xs)) <= 1e-6
 
 
 def test_smooth_chord_length():
     model = flat_model(beta="1")
-    smooth = smooth_path_cost(model, lambda x: x, lambda x: np.ones_like(x), 512, 1.0)
+    smooth = smooth_path_cost(model, chord, 512, 1.0)
     assert smooth == pytest.approx(SQRT2, abs=1e-9)
 
 
 def test_smooth_mesh_precondition():
     with pytest.raises(ValueError, match="64"):
-        smooth_path_cost(flat_model(), lambda x: x, lambda x: np.ones_like(x), 32, 1.0)
+        smooth_path_cost(flat_model(), chord, 32, 1.0)
 
 
 def test_series_candidate_cost_ridge():
@@ -284,11 +327,5 @@ def test_series_candidate_cost_ridge():
 def test_series_candidate_cost_relief():
     model = make_relief3d_spec().model
     cand = RitzCandidate(SERIES_COEFFS_RELIEF, 1.0, 1.0, 512)
-    smooth = smooth_path_cost(
-        model,
-        lambda x: candidate_eval(cand, x)[0],
-        lambda x: candidate_eval(cand, x)[1],
-        512,
-        1.0,
-    )
+    smooth = smooth_path_cost(model, lambda x: candidate_eval(cand, x), 512, 1.0)
     assert smooth == pytest.approx(1.13763, abs=0.005)

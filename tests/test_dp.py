@@ -8,19 +8,21 @@ import pytest
 from terracost import (
     CostMode,
     CostModel,
+    Heightmap,
     ProblemSpec,
     build_grid,
     default_corridor,
-    dp,
     field_from_expression,
+    field_from_heightmap,
     path_cost,
+    path_cost_profile,
     refinement_schedule,
-    segment_cost,
+    segment_cost_batch,
     solve,
     solve_refined,
 )
 
-from conftest import make_flat_spec, make_ridge2d_spec
+from conftest import make_flat_spec, make_relief3d_spec, make_ridge2d_spec
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -124,16 +126,31 @@ def test_single_stage_grid_returns_chord():
     traj = solve(grid, spec)
     assert traj.xs.tolist() == [0.0, 1.0]
     assert traj.ys.tolist() == [0.0, 1.0]
-    chord = segment_cost(spec.model, 0.0, 0.0, 1.0, 1.0, 0.0)
-    assert traj.cost == chord.delta_j
+    chord = segment_cost_batch(spec.model, 0.0, 1.0, [0.0], [1.0])
+    assert traj.cost == chord.fixed_cost[0, 0]
     assert traj.diagnostics.segment_cost_evaluations == 1
 
 
+def heightmap_relief_spec():
+    xs = np.linspace(0.0, 1.0, 17)
+    ys = np.linspace(-0.25, 1.25, 25)
+    z = np.sin(5 * xs[None, :]) * np.sin(ys[:, None]) + 0.3 * xs[None, :] ** 2
+    model = CostModel(
+        alpha=field_from_expression("0.1"),
+        beta=field_from_expression("0.5"),
+        phi=field_from_heightmap(Heightmap(0.0, -0.25, xs[1] - xs[0], ys[1] - ys[0], z)),
+        mode=CostMode.FULL_3D,
+    )
+    return ProblemSpec(l=1.0, y_l=1.0, corridor=(0.0, 1.0), model=model)
+
+
 def test_terminal_label_equals_path_cost():
-    spec = make_ridge2d_spec()
-    grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.25)
-    traj = solve(grid, spec)
-    assert abs(traj.cost - path_cost(spec.model, traj.xs, traj.ys)) <= 1e-9
+    # Sweep and polyline pricer share the kernel and the prefix threading
+    # order, so re-pricing the solved knots reproduces the label bit for bit.
+    for spec in (make_ridge2d_spec(), make_relief3d_spec(), heightmap_relief_spec()):
+        grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.25)
+        traj = solve(grid, spec)
+        assert traj.cost == path_cost(spec.model, traj.xs, traj.ys)
 
 
 def test_solve_is_deterministic():
@@ -174,19 +191,34 @@ def test_threaded_solve_is_bit_identical():
 
 
 def test_sweep_labels_satisfy_invariants():
+    # Along the solved trajectory: one knot per stage, each a node of its
+    # stage, and the cost/length labels of its prefixes start at 0, grow,
+    # and never fall below the horizontal run.
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 0.25, 0.25)
-    labels = dp.sweep_labels(grid, spec)
-    assert len(labels) == grid.n + 1
-    for i, stage_labels in enumerate(labels):
-        assert len(stage_labels) == grid.stages[i].size
-        for label in stage_labels:
-            assert label.d >= 0.0
-            assert label.length >= grid.xs[i] - 1e-12
-            if i == 0:
-                assert label.pred == -1
-            else:
-                assert 0 <= label.pred < grid.stages[i - 1].size
+    traj = solve(grid, spec)
+    assert traj.xs.tolist() == grid.xs.tolist()
+    for i, y in enumerate(traj.ys):
+        assert y in grid.stages[i]
+    total, cum_len, cum_cost = path_cost_profile(spec.model, traj.xs, traj.ys)
+    assert total == traj.cost
+    assert cum_cost[0] == 0.0 and cum_len[0] == 0.0
+    assert np.all(np.diff(cum_cost) > 0.0)  # beta > 0 on the corridor
+    assert np.all(cum_len >= traj.xs - 1e-12)
+
+
+def test_non_finite_cost_stops_the_sweep():
+    # exp(900 y) overflows above y ~ 0.79, so beta is inf - inf = nan there.
+    model = CostModel(
+        alpha=field_from_expression("0"),
+        beta=field_from_expression("exp(900*y)-exp(900*y)"),
+        mode=CostMode.FLAT_2D,
+    )
+    spec = ProblemSpec(l=1.0, y_l=0.5, corridor=(0.0, 1.0), model=model)
+    grid = build_grid(spec, 0.25, 0.25)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"stage 1 \(x = 0\.25\)"):
+            solve(grid, spec)
 
 
 def test_ridge_benchmark_value():

@@ -18,7 +18,7 @@ from terracost import (
     build_grid,
     dp,
     field_from_expression,
-    segment_cost,
+    segment_cost_batch,
 )
 from terracost.oracle import dp_gap, enumerate_paths
 
@@ -55,8 +55,8 @@ def test_single_segment_enumeration():
     result = enumerate_paths(grid, spec)
     assert result.paths_evaluated == 1
     assert result.best_path == [0, 0]
-    chord = segment_cost(spec.model, 0.0, 0.0, 1.0, 1.0, 0.0)
-    assert result.best_cost == chord.delta_j
+    chord = segment_cost_batch(spec.model, 0.0, 1.0, [0.0], [1.0])
+    assert result.best_cost == chord.fixed_cost[0, 0]
 
 
 def test_path_count_is_product_of_interior_sizes():
