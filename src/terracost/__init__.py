@@ -16,6 +16,7 @@ from .cost import (
     path_cost,
     path_cost_profile,
     segment_cost_batch,
+    smooth_mesh,
     smooth_path_cost,
 )
 from .dp import (
@@ -79,6 +80,7 @@ __all__ = [
     "refinement_schedule",
     "ritz",
     "segment_cost_batch",
+    "smooth_mesh",
     "smooth_path_cost",
     "solve",
     "solve_refined",

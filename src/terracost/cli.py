@@ -56,6 +56,11 @@ class ConfigError(Exception):
     """Invalid or unreadable run configuration."""
 
 
+# A mask that blocks the corridor is found only once the grid is built, but
+# it is a problem in the config all the same.
+_CONFIG_ERRORS = (ConfigError, dp.BlockedCorridorError)
+
+
 @dataclass
 class FieldConfig:
     expression: str | None = None
@@ -470,7 +475,7 @@ def _cmd_solve(args) -> int:
         print(f"warning: {message}", file=sys.stderr)
     try:
         traj, report = _solve(config, spec, _resolve_threads(args))
-    except ConfigError as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver failures map to exit 2
@@ -494,7 +499,7 @@ def _cmd_verify(args) -> int:
         if config.solver.method == "ritz":
             raise ConfigError("verify needs a grid method; set solver.method to 'dp'")
         grid = _grid_for(config, spec)
-    except ConfigError as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -552,6 +557,9 @@ def _cmd_bench(args) -> int:
         return 1
     try:
         rows, _ = _ladder(config, spec, args.levels - 1, _resolve_threads(args))
+    except _CONFIG_ERRORS as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,8 @@ three callers:
 
 * :func:`segment_cost_batch` - every from/to pair of one stage transition;
 * :func:`path_cost_profile`  - all segments of one polyline at once;
-* :func:`smooth_path_cost`   - the mesh cells of a smooth candidate curve.
+* :func:`smooth_path_cost`   - the mesh cells of a smooth candidate curve,
+  sampled on a :func:`smooth_mesh`.
 
 Quadrature is a composite trapezoid rule with ``q`` subintervals per
 piece; the inner prefix integral uses trapezoid prefix sums over the same
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "path_cost",
     "path_cost_profile",
     "segment_cost_batch",
+    "smooth_mesh",
     "smooth_path_cost",
 ]
 
@@ -189,29 +191,30 @@ def path_cost(model: CostModel, xs, ys) -> float:
     return total
 
 
-def smooth_path_cost(
-    model: CostModel,
-    curve: Callable,
-    mesh_points: int,
-    length: float,
-) -> float:
-    """Functional value of a smooth candidate y(x) on [0, length].
+def smooth_mesh(mesh_points: int, length: float, q: int):
+    """Quadrature samples of a smooth curve's mesh on [0, length].
 
-    ``curve(x)`` returns the pair (y, y') and must accept numpy arrays.  The
-    span is split into ``mesh_points`` - 1 cells; inside each cell the same
-    composite trapezoid scheme samples the exact curve (no chord
-    approximation), and the prefix length threads across cells.
+    The span is split into ``mesh_points`` - 1 cells of q + 1 samples each.
+    Returns (xs, h): the (cells, q + 1) sample abscissae and their spacing,
+    ready for :func:`smooth_path_cost`.
     """
     if mesh_points < 64:
         raise ValueError(f"mesh_points must be >= 64, got {mesh_points}")
     if length <= 0:
         raise ValueError(f"span length must be positive, got {length}")
-    q = model.quadrature_subdivisions
     mesh = np.linspace(0.0, length, mesh_points)
     cell = length / (mesh_points - 1)
-    xs = mesh[:-1, None] + cell * (np.arange(q + 1) / q)  # (cells, q+1)
-    ys, yps = curve(xs)
-    tab = _tableau(model, xs, ys, yps, cell / q)
+    return mesh[:-1, None] + cell * (np.arange(q + 1) / q), cell / q
+
+
+def smooth_path_cost(model: CostModel, xs, ys, yp, h) -> float:
+    """Functional value of a smooth candidate sampled on a :func:`smooth_mesh`.
+
+    ``ys`` and ``yp`` are the exact curve y(x) and its slope at the mesh
+    samples ``xs`` (no chord approximation); each cell is integrated by the
+    composite trapezoid scheme and the prefix length threads across cells.
+    """
+    tab = _tableau(model, xs, ys, yp, h)
     len_start = np.concatenate([[0.0], np.cumsum(tab.delta_len)[:-1]])
     total = float(np.sum(tab.fixed_cost + len_start * tab.prefix_slope))
     if not np.isfinite(total):

@@ -37,6 +37,7 @@ from .cost import CostModel, SegmentTableau, segment_cost_batch
 from .terrain import ScalarField2D, feasible
 
 __all__ = [
+    "BlockedCorridorError",
     "ProblemSpec",
     "SolveDiagnostics",
     "StageGrid",
@@ -52,6 +53,13 @@ __all__ = [
 # Below this many candidate arcs a stage transition is evaluated serially;
 # threading overhead would dominate.
 _PARALLEL_THRESHOLD = 4096
+
+
+class BlockedCorridorError(ValueError):
+    """The feasibility mask leaves an interior stage without ordinates.
+
+    A property of the problem and its discretization, not a solver failure.
+    """
 
 
 def default_corridor(l: float, y_l: float) -> tuple[float, float]:
@@ -148,7 +156,7 @@ def build_grid(spec: ProblemSpec, tau: float, delta: float) -> StageGrid:
 
     Stage abscissae are exactly equidistant: n = round(l/tau), x_i = i*l/n.
     Interior ordinates are y_lo + k*delta filtered by the feasibility mask;
-    an interior stage left empty by the mask is an error.
+    an interior stage left empty by the mask raises BlockedCorridorError.
     """
     if not (0 < tau <= spec.l):
         raise ValueError(f"tau must be in (0, l], got {tau}")
@@ -164,7 +172,7 @@ def build_grid(spec: ProblemSpec, tau: float, delta: float) -> StageGrid:
         keep = feasible(spec.mask, np.full(lattice.shape, xs[i]), lattice)
         stage = lattice[keep]
         if stage.size == 0:
-            raise ValueError(
+            raise BlockedCorridorError(
                 f"stage {i} (x = {xs[i]}) has no feasible ordinates; corridor is blocked"
             )
         stages.append(stage)

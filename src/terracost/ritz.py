@@ -9,16 +9,24 @@ search is over the K coefficients alone.  The objective is the smooth-path
 cost on a fixed quadrature mesh, minimized by derivative-free Nelder-Mead
 descent; differentiating through the nested delivery integral is not worth
 the trouble for a cross-check solver.
+
+Only the coefficients change between objective calls, so the trial-space
+basis (sin and cos of every mesh sample times every frequency, and the
+chord) is tabulated once per (span, end ordinate, K, mesh points, q) and
+shared read-only; an evaluation is then two table products plus the field
+evaluation and pricing.  scipy is imported by :func:`minimize` alone, so
+importing terracost does not pay for it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
-from .cost import CostModel, smooth_path_cost
+from .cost import CostModel, smooth_mesh, smooth_path_cost
 
 __all__ = ["RitzCandidate", "RitzResult", "candidate_eval", "minimize", "objective"]
 
@@ -57,24 +65,61 @@ class RitzResult:
     converged: bool
 
 
+class _SampledBasis(NamedTuple):
+    """The trial-space basis at abscissae x (K = number of terms)."""
+
+    freqs: np.ndarray  # (K,) pi k / span
+    chord_slope: float
+    chord: np.ndarray  # chord_slope * x
+    sin_xk: np.ndarray  # sin(x * freqs), shape x.shape + (K,)
+    cos_xk: np.ndarray
+
+
+def _sample_basis(x: np.ndarray, basis_size: int, span: float, end_ordinate: float):
+    freqs = np.pi * np.arange(1, basis_size + 1) / span
+    chord_slope = end_ordinate / span
+    xk = x[..., None] * freqs
+    return _SampledBasis(freqs, chord_slope, chord_slope * x, np.sin(xk), np.cos(xk))
+
+
+def _series(basis: _SampledBasis, a: np.ndarray):
+    """Value and slope (y, y') of the trial curve with coefficients ``a``."""
+    y = basis.chord + (basis.sin_xk * a).sum(axis=-1)
+    yp = basis.chord_slope + (basis.cos_xk * (basis.freqs * a)).sum(axis=-1)
+    return y, yp
+
+
+@functools.lru_cache(maxsize=8)
+def _mesh_basis(span, end_ordinate, basis_size, mesh_points, q):
+    """(xs, h, basis) on the smooth mesh; every caller shares the arrays."""
+    xs, h = smooth_mesh(mesh_points, span, q)
+    basis = _sample_basis(xs, basis_size, span, end_ordinate)
+    for table in (xs, basis.freqs, basis.chord, basis.sin_xk, basis.cos_xk):
+        table.flags.writeable = False
+    return xs, h, basis
+
+
 def candidate_eval(candidate: RitzCandidate, x):
     """Value and slope (y, y') of the candidate; accepts arrays."""
-    a = candidate.coefficients
-    freqs = np.pi * np.arange(1, a.size + 1) / candidate.span
-    chord_slope = candidate.end_ordinate / candidate.span
-    xk = np.asarray(x, dtype=float)[..., None] * freqs
-    y = chord_slope * np.asarray(x, dtype=float) + (np.sin(xk) * a).sum(axis=-1)
-    yp = chord_slope + (np.cos(xk) * (freqs * a)).sum(axis=-1)
-    if np.ndim(x) == 0:
+    x = np.asarray(x, dtype=float)
+    basis = _sample_basis(x, candidate.basis_size, candidate.span, candidate.end_ordinate)
+    y, yp = _series(basis, candidate.coefficients)
+    if x.ndim == 0:
         return float(y), float(yp)
     return y, yp
 
 
 def objective(candidate: RitzCandidate, model: CostModel) -> float:
     """Smooth-path cost of the candidate on its quadrature mesh."""
-    return smooth_path_cost(
-        model, lambda x: candidate_eval(candidate, x), candidate.mesh_points, candidate.span
+    xs, h, basis = _mesh_basis(
+        candidate.span,
+        candidate.end_ordinate,
+        candidate.basis_size,
+        candidate.mesh_points,
+        model.quadrature_subdivisions,
     )
+    ys, yps = _series(basis, candidate.coefficients)
+    return smooth_path_cost(model, xs, ys, yps, h)
 
 
 def minimize(
@@ -97,6 +142,7 @@ def minimize(
         raise ValueError(f"basis_size must be >= 1, got {basis_size}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    from scipy import optimize  # deferred: only this solver needs scipy
 
     def fun(a: np.ndarray) -> float:
         cand = RitzCandidate(a, span, end_ordinate, mesh_points)

@@ -228,6 +228,35 @@ def test_non_finite_cost_is_solver_error_naming_stage(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, solver_extra",
+    [
+        pytest.param(["solve"], {}, id="solve"),
+        pytest.param(["solve"], {"refine_levels": 1}, id="solve-refine-levels"),
+        pytest.param(["verify"], {}, id="verify"),
+        pytest.param(["bench", "--levels", "2"], {}, id="bench"),
+    ],
+)
+def test_blocked_corridor_is_config_error(tmp_path, capsys, argv, solver_extra):
+    # The mask forbids every ordinate for 0.3 < x < 0.7, so stage 3 is empty.
+    config = write_config(
+        tmp_path,
+        fields={
+            "alpha": {"expression": "0"},
+            "beta": {"expression": "1"},
+            "mask": {"expression": "0.04-(x-0.5)^2"},
+        },
+        solver={"method": "dp", "tau": 0.125, "epsilon": 0.25, **solver_extra},
+    )
+    out = tmp_path / "run"
+    extra = ["--out", str(out)] if argv[0] == "solve" else []
+    assert main([*argv, "--config", str(config), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "corridor is blocked" in err
+    assert not out.exists()
+
+
 def test_missing_tau_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, solver={"method": "dp"})
     assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 1

@@ -20,6 +20,7 @@ from terracost import (
     path_cost,
     path_cost_profile,
     segment_cost_batch,
+    smooth_mesh,
     smooth_path_cost,
 )
 from terracost.ritz import RitzCandidate, candidate_eval
@@ -298,22 +299,30 @@ def chord(x):
     return x, np.ones_like(x)
 
 
+def smooth_cost(model, curve, mesh_points=512, length=1.0):
+    xs, h = smooth_mesh(mesh_points, length, model.quadrature_subdivisions)
+    ys, yp = curve(xs)
+    return smooth_path_cost(model, xs, ys, yp, h)
+
+
 def test_smooth_matches_polyline_for_linear_path():
     model = make_ridge2d_spec().model
-    smooth = smooth_path_cost(model, chord, 512, 1.0)
+    smooth = smooth_cost(model, chord)
     xs = np.linspace(0.0, 1.0, 512)
     assert abs(smooth - path_cost(model, xs, xs)) <= 1e-6
 
 
 def test_smooth_chord_length():
     model = flat_model(beta="1")
-    smooth = smooth_path_cost(model, chord, 512, 1.0)
+    smooth = smooth_cost(model, chord)
     assert smooth == pytest.approx(SQRT2, abs=1e-9)
 
 
 def test_smooth_mesh_precondition():
     with pytest.raises(ValueError, match="64"):
-        smooth_path_cost(flat_model(), chord, 32, 1.0)
+        smooth_mesh(32, 1.0, 16)
+    with pytest.raises(ValueError, match="positive"):
+        smooth_mesh(512, 0.0, 16)
 
 
 def test_series_candidate_cost_ridge():
@@ -327,5 +336,5 @@ def test_series_candidate_cost_ridge():
 def test_series_candidate_cost_relief():
     model = make_relief3d_spec().model
     cand = RitzCandidate(SERIES_COEFFS_RELIEF, 1.0, 1.0, 512)
-    smooth = smooth_path_cost(model, lambda x: candidate_eval(cand, x), 512, 1.0)
+    smooth = smooth_cost(model, lambda x: candidate_eval(cand, x))
     assert smooth == pytest.approx(1.13763, abs=0.005)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from terracost import CostMode, CostModel, field_from_expression
-from terracost.ritz import RitzCandidate, candidate_eval, minimize, objective
+import terracost
+from terracost import CostMode, CostModel, field_from_expression, smooth_mesh, smooth_path_cost
+from terracost.ritz import RitzCandidate, _mesh_basis, candidate_eval, minimize, objective
 
 from conftest import (
     SERIES_COEFFS_RELIEF,
@@ -16,6 +22,8 @@ from conftest import (
 )
 
 SQRT2 = float(np.sqrt(2.0))
+
+SPECS = {"ridge2d": make_ridge2d_spec, "relief3d": make_relief3d_spec}
 
 
 def flat_model(alpha="0", beta="1"):
@@ -100,6 +108,52 @@ def test_series_objective_relief():
     cand = RitzCandidate(SERIES_COEFFS_RELIEF, span=1.0, end_ordinate=1.0)
     model = make_relief3d_spec().model
     assert objective(cand, model) == pytest.approx(1.13763, abs=0.005)
+
+
+def uncached_objective(cand, model):
+    # The reference: price candidate_eval samples on the objective's own mesh.
+    xs, h = smooth_mesh(cand.mesh_points, cand.span, model.quadrature_subdivisions)
+    ys, yp = candidate_eval(cand, xs)
+    return smooth_path_cost(model, xs, ys, yp, h)
+
+
+@pytest.mark.parametrize("mesh_points", [64, 512])
+@pytest.mark.parametrize("basis_size", [1, 5, 10])
+@pytest.mark.parametrize("problem", ["ridge2d", "relief3d"])
+def test_cached_objective_is_bit_identical(problem, basis_size, mesh_points):
+    model = SPECS[problem]().model
+    rng = np.random.default_rng(basis_size * 1000 + mesh_points)
+    for _ in range(3):
+        coeffs = rng.normal(scale=0.3, size=basis_size)
+        cand = RitzCandidate(coeffs, span=1.0, end_ordinate=1.0, mesh_points=mesh_points)
+        assert objective(cand, model) == uncached_objective(cand, model)
+
+
+def test_basis_cache_keys_on_trial_space():
+    # Alternate spans, end ordinates and basis sizes so that a table cached
+    # for one trial space would be reused for the next if the key missed.
+    model = make_relief3d_spec().model
+    coeffs = np.array([0.2, -0.1, 0.05])
+    trial_spaces = [(1.0, 1.0, 3), (2.0, 1.0, 3), (2.0, 0.5, 3), (2.0, 0.5, 2), (1.0, 1.0, 3)]
+    for span, end, size in trial_spaces:
+        cand = RitzCandidate(coeffs[:size], span=span, end_ordinate=end, mesh_points=64)
+        assert objective(cand, model) == uncached_objective(cand, model)
+
+
+def test_basis_tables_reject_writes():
+    xs, _, basis = _mesh_basis(1.0, 1.0, 3, 64, 16)
+    for table in (xs, basis.freqs, basis.chord, basis.sin_xk, basis.cos_xk):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+
+
+def test_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(terracost.__file__).parents[1]))
+    code = "import sys, terracost, terracost.cli; print('scipy' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
