@@ -12,6 +12,7 @@ from . import cli, dp, expr, localsearch, oracle, ritz, terrain
 from .cost import (
     CostMode,
     CostModel,
+    NegativeRateError,
     SegmentTableau,
     path_cost,
     path_cost_profile,
@@ -57,6 +58,7 @@ __all__ = [
     "FieldDomainError",
     "Heightmap",
     "HeightmapField",
+    "NegativeRateError",
     "ProblemSpec",
     "ScalarField2D",
     "SegmentTableau",

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dp, localsearch, oracle, ritz
-from .cost import CostMode, CostModel, path_cost_profile
+from .cost import CostMode, CostModel, NegativeRateError, path_cost_profile
 from .expr import ExprSyntaxError
 from .terrain import (
     ScalarField2D,
@@ -56,9 +56,9 @@ class ConfigError(Exception):
     """Invalid or unreadable run configuration."""
 
 
-# A mask that blocks the corridor is found only once the grid is built, but
-# it is a problem in the config all the same.
-_CONFIG_ERRORS = (ConfigError, dp.BlockedCorridorError)
+# A blocked corridor shows only once the grid is built and a negative rate
+# only once it is sampled, but both are problems in the config all the same.
+_CONFIG_ERRORS = (ConfigError, dp.BlockedCorridorError, NegativeRateError)
 
 
 @dataclass
@@ -268,11 +268,9 @@ def _build_field(config: RunConfig, name: str) -> ScalarField2D:
     hm_path = Path(fc.heightmap)
     if not hm_path.is_absolute():
         hm_path = config.base_dir / hm_path
-    if not hm_path.exists():
-        raise ConfigError(f"field '{name}': heightmap file not found: {hm_path}")
     try:
         return field_from_heightmap(load_heightmap(hm_path))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"field '{name}': {exc}") from exc
 
 
@@ -397,7 +395,7 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
             "tau": grid.tau,
             "delta": grid.delta,
             "n": grid.n,
-            "lattice_size": grid.lattice_size(spec.corridor),
+            "lattice_size": dp.lattice_size(spec.corridor, grid.delta),
         }
         if s.method == "dp":
             traj = dp.solve(grid, spec, threads=threads)
@@ -465,22 +463,11 @@ def _resolve_threads(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        config = load_config(args.config)
-        spec = realize(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    config = load_config(args.config)
+    spec = realize(config)
     for message in config.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    try:
-        traj, report = _solve(config, spec, _resolve_threads(args))
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # solver failures map to exit 2
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 2
+    traj, report = _solve(config, spec, _resolve_threads(args))
     try:
         paths = _write_outputs(config, spec, traj, report, Path(args.out))
     except OSError as exc:
@@ -493,22 +480,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        config = load_config(args.config)
-        spec = realize(config)
-        if config.solver.method == "ritz":
-            raise ConfigError("verify needs a grid method; set solver.method to 'dp'")
-        grid = _grid_for(config, spec)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        exact = oracle.enumerate_paths(grid, spec, cap=args.cap)
-        sweep = dp.solve(grid, spec, threads=_resolve_threads(args))
-        gap = sweep.cost - exact.best_cost
-    except Exception as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
+    spec = realize(config)
+    if config.solver.method == "ritz":
+        raise ConfigError("verify needs a grid method; set solver.method to 'dp'")
+    grid = _grid_for(config, spec)
+    exact = oracle.enumerate_paths(grid, spec, cap=args.cap)
+    sweep = dp.solve(grid, spec, threads=_resolve_threads(args))
+    gap = sweep.cost - exact.best_cost
     print(f"paths evaluated:    {exact.paths_evaluated}")
     print(f"exhaustive minimum: {exact.best_cost!r}")
     print(f"sweep minimum:      {sweep.cost!r}")
@@ -533,12 +512,9 @@ def _alpha_is_zero(spec: dp.ProblemSpec) -> bool:
 
 def _cmd_schedule(args) -> int:
     try:
-        levels = dp.refinement_schedule(
-            args.tau0, args.gamma, args.epsilon, args.levels - 1
-        )
+        levels = dp.refinement_schedule(args.tau0, args.gamma, args.epsilon, args.levels - 1)
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        raise ConfigError(str(exc)) from exc
     print(f"{'k':>3} {'tau':>14} {'delta':>14}")
     for k, (tau, delta) in enumerate(levels):
         print(f"{k:>3} {tau:>14.8f} {delta:>14.8f}")
@@ -546,23 +522,14 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        config = load_config(args.config)
-        spec = realize(config)
-        if config.solver.method == "ritz":
-            raise ConfigError("bench needs a grid method; set solver.method to 'dp'")
-        _tau(config)  # bench needs solver.tau
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        rows, _ = _ladder(config, spec, args.levels - 1, _resolve_threads(args))
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
+    spec = realize(config)
+    if config.solver.method == "ritz":
+        raise ConfigError("bench needs a grid method; set solver.method to 'dp'")
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be >= 1, got {args.levels}")
+    _tau(config)  # bench needs solver.tau
+    rows, _ = _ladder(config, spec, args.levels - 1, _resolve_threads(args))
     header = f"{'tau':>12} {'delta':>12} {'n':>5} {'N':>6} {'evals':>12} {'evals/stage':>12} {'J':>10} {'time[s]':>9}"
     print(header)
     for r in rows:
@@ -623,9 +590,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reuse_freed_heap() -> None:
+    # A sweep allocates and frees ~1 MB block arrays thousands of times.  At
+    # glibc's default thresholds every block returns the heap top to the
+    # kernel and faults it back in (1.4 M faults, 2-3 s of system time at
+    # tau 1/48); raising M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3)
+    # keeps those pages for reuse, at the cost of holding freed heap.
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-1, 64 << 20)
+        mallopt(-3, 32 << 20)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    _reuse_freed_heap()
+    try:
+        return args.handler(args)
+    except _CONFIG_ERRORS as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # every other failure is the solver's
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 2
 
 
 def script_entry() -> None:

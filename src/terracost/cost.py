@@ -45,6 +45,7 @@ from .terrain import ScalarField2D
 __all__ = [
     "CostMode",
     "CostModel",
+    "NegativeRateError",
     "SegmentTableau",
     "path_cost",
     "path_cost_profile",
@@ -79,6 +80,10 @@ class CostModel:
             raise ValueError(f"quadrature_subdivisions must be even and >= 2, got {q}")
         if self.mode is CostMode.FULL_3D and self.phi is None:
             raise ValueError("full 3-D mode requires a relief field phi")
+
+
+class NegativeRateError(ValueError):
+    """A rate field is negative at a sample: a longer road could be cheaper."""
 
 
 class SegmentTableau(NamedTuple):
@@ -122,12 +127,25 @@ def _tableau(model: CostModel, xs, ys, yp, h) -> SegmentTableau:
         [np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)], axis=-1
     )
 
-    a = np.broadcast_to(np.asarray(model.alpha.value(xs, ys)), ys.shape)
-    b = np.broadcast_to(np.asarray(model.beta.value(xs, ys)), ys.shape)
+    a = _rate(model.alpha, "alpha", xs, ys)
+    b = _rate(model.beta, "beta", xs, ys)
     delivery = a * phi_arc
     fixed = _trapz(delivery * prefix, h) + _trapz(b * phi_arc, h)
     slope = _trapz(delivery, h)
     return SegmentTableau(fixed, slope, prefix[..., -1])
+
+
+def _rate(rate: ScalarField2D, name: str, xs, ys) -> np.ndarray:
+    # A rate field on the kernel's samples (ys has the full sample shape).
+    values = np.asarray(rate.value(xs, ys))
+    if (values < 0).any():
+        values, xs = np.broadcast_to(values, ys.shape), np.broadcast_to(xs, ys.shape)
+        k = np.unravel_index(np.argmax(values < 0), ys.shape)
+        raise NegativeRateError(
+            f"rate field '{name}' is negative ({float(values[k])!r}) "
+            f"at (x, y) = ({float(xs[k])!r}, {float(ys[k])!r})"
+        )
+    return np.broadcast_to(values, ys.shape)
 
 
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to) -> SegmentTableau:

@@ -14,9 +14,15 @@ own chosen prefix, and candidate arcs are priced with the predecessor's
 stored length.  This keeps the recursion well-defined; it is exact when the
 delivery rate is identically zero and a scalar-label approximation
 otherwise (the exhaustive reference solver in :mod:`terracost.oracle`
-measures the gap).  A label that is not finite (singular or overflowing
-fields) stops the sweep with an error naming its stage, so it can never
-pick a path.
+measures the gap).
+
+A stage transition is relaxed in blocks of to-nodes of at most 8,192
+candidate arcs, so its memory no longer grows as N^2*q with the lattice
+size N.  A to-node's minimum reads only its own column of candidates, so
+results are bit-identical for any block split and any thread count (blocks
+are mapped over a thread pool).  A label that is not finite (singular or
+overflowing fields) stops the sweep with an error naming its stage, so it
+can never pick a path.
 
 Refinement follows the coupling delta_k = gamma * tau_k^(1+eps): halving
 tau while shrinking delta strictly faster is what makes the refined optima
@@ -26,14 +32,16 @@ longer guaranteed.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import CostModel, SegmentTableau, segment_cost_batch
+from .cost import CostModel, segment_cost_batch
 from .terrain import ScalarField2D, feasible
 
 __all__ = [
@@ -50,9 +58,9 @@ __all__ = [
     "solve_refined",
 ]
 
-# Below this many candidate arcs a stage transition is evaluated serially;
-# threading overhead would dominate.
-_PARALLEL_THRESHOLD = 4096
+# Candidate arcs per relaxation block: a transition holds O(_BLOCK_ARCS * q)
+# floats whatever the lattice size.
+_BLOCK_ARCS = 8192
 
 
 class BlockedCorridorError(ValueError):
@@ -118,10 +126,6 @@ class StageGrid:
     xs: np.ndarray
     stages: list[np.ndarray]
 
-    def lattice_size(self, corridor: tuple[float, float]) -> int:
-        """Number of ordinate lattice nodes spanning the corridor."""
-        return lattice_size(corridor, self.delta)
-
 
 def lattice_size(corridor: tuple[float, float], delta: float) -> int:
     """Number of ordinate lattice nodes y_lo + k*delta inside the corridor."""
@@ -180,40 +184,26 @@ def build_grid(spec: ProblemSpec, tau: float, delta: float) -> StageGrid:
     return StageGrid(tau=tau, delta=delta, n=n, xs=xs, stages=stages)
 
 
-def _transition_tableau(
-    model: CostModel,
-    x_start: float,
-    tau: float,
-    y_from: np.ndarray,
-    y_to: np.ndarray,
-    executor: ThreadPoolExecutor | None,
-    workers: int,
-) -> SegmentTableau:
-    # Columns (to-nodes) are independent, so chunking them across threads
-    # cannot change any result bit.
-    if executor is None or y_from.size * y_to.size < _PARALLEL_THRESHOLD:
-        return segment_cost_batch(model, x_start, tau, y_from, y_to)
-    chunks = np.array_split(y_to, min(workers, y_to.size))
-    parts = list(
-        executor.map(
-            lambda chunk: segment_cost_batch(model, x_start, tau, y_from, chunk),
-            chunks,
-        )
-    )
-    return SegmentTableau(
-        np.concatenate([p.fixed_cost for p in parts], axis=1),
-        np.concatenate([p.prefix_slope for p in parts], axis=1),
-        np.concatenate([p.delta_len for p in parts], axis=1),
-    )
+def _relax(model: CostModel, x_start, tau, y_from, d, length, y_to):
+    """Best predecessor, cost-to-come and prefix length for a block of to-nodes.
+
+    Ties pick the smallest predecessor index (argmin returns the first minimum).
+    """
+    tab = segment_cost_batch(model, x_start, tau, y_from, y_to)
+    candidates = d[:, None] + tab.fixed_cost + length[:, None] * tab.prefix_slope
+    best = np.argmin(candidates, axis=0)
+    cols = np.arange(y_to.size)
+    return best, candidates[best, cols], length[best] + tab.delta_len[best, cols]
 
 
-def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None, workers: int = 1):
+def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None):
     """Forward pass over all stages.
 
-    Returns the predecessor arrays of stages 1..n, the terminal cost-to-come
-    labels and the evaluation count.
+    Every transition is relaxed in blocks of at most ``_BLOCK_ARCS``
+    candidate arcs (at least one to-node each), mapped serially or over the
+    executor's threads.  Returns the predecessor arrays of stages 1..n, the
+    terminal cost-to-come labels and the evaluation count.
     """
-    model = spec.model
     d = np.zeros(1)
     length = np.zeros(1)
     preds: list[np.ndarray] = []
@@ -221,24 +211,23 @@ def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None, workers: int = 1):
     for i in range(grid.n):
         y_from = grid.stages[i]
         y_to = grid.stages[i + 1]
-        tau_i = grid.xs[i + 1] - grid.xs[i]
-        tab = _transition_tableau(
-            model, grid.xs[i], tau_i, y_from, y_to, executor, workers
+        relax = functools.partial(
+            _relax, spec.model, grid.xs[i], grid.xs[i + 1] - grid.xs[i], y_from, d, length
         )
+        width = max(1, _BLOCK_ARCS // y_from.size)
+        if y_to.size <= width:
+            best, d, length = relax(y_to)
+        else:
+            blocks = [y_to[s : s + width] for s in range(0, y_to.size, width)]
+            mapper = map if executor is None else executor.map
+            best, d, length = map(np.concatenate, zip(*mapper(relax, blocks)))
         evaluations += y_from.size * y_to.size
-        # Candidate cost-to-come for every (pred k, node s) pair; ties pick
-        # the smallest k (argmin returns the first minimum).
-        candidates = d[:, None] + tab.fixed_cost + length[:, None] * tab.prefix_slope
-        best = np.argmin(candidates, axis=0)
-        cols = np.arange(y_to.size)
-        d = candidates[best, cols]
         if not np.all(np.isfinite(d)):
             x = float(grid.xs[i + 1])
             raise ValueError(
                 f"non-finite cost-to-come at stage {i + 1} (x = {x!r}): "
                 "fields are singular or overflow there"
             )
-        length = length[best] + tab.delta_len[best, cols]
         preds.append(best)
     return preds, d, evaluations
 
@@ -246,17 +235,16 @@ def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None, workers: int = 1):
 def solve(grid: StageGrid, spec: ProblemSpec, threads: int = 1) -> Trajectory:
     """Run the forward sweep and backtrack the optimal polyline.
 
-    The per-node minimizations inside one stage transition may be evaluated
-    in parallel (``threads`` > 1); results are independent of execution
-    order.  The returned trajectory's cost is the terminal label, which by
-    construction of the prefix threading equals the polyline's path cost.
+    The blocks of one stage transition may be relaxed in parallel
+    (``threads`` > 1); results are independent of the thread count and of
+    the block split, bit for bit.  The returned trajectory's cost is the
+    terminal label, which by construction of the prefix threading equals
+    the polyline's path cost.
     """
     t0 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            preds, terminal_d, evaluations = _sweep(grid, spec, executor, threads)
-    else:
-        preds, terminal_d, evaluations = _sweep(grid, spec)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    with pool as executor:
+        preds, terminal_d, evaluations = _sweep(grid, spec, executor)
     idx = [0]
     for best in reversed(preds):
         idx.append(int(best[idx[-1]]))
@@ -320,16 +308,13 @@ def solve_refined(
     """
     if not schedule:
         raise ValueError("schedule must contain at least one (tau, delta) level")
-    y_lo, y_hi = spec.corridor
     results = []
     for tau, delta in schedule:
         grid = build_grid(spec, tau, delta)
         traj = solve(grid, spec, threads=threads)
-        bound = ((y_hi - y_lo) / delta + 1.0) ** 2 * grid.n
+        bound = lattice_size(spec.corridor, delta) ** 2 * grid.n
         used = traj.diagnostics.segment_cost_evaluations
         if used > bound:
-            raise RuntimeError(
-                f"evaluation count {used} exceeded the N^2*n bound {bound:.0f}"
-            )
+            raise RuntimeError(f"evaluation count {used} exceeded the N^2*n bound {bound}")
         results.append(traj)
     return results

@@ -117,7 +117,7 @@ def run(
     flagged in the diagnostics, not raised.
     """
     if max_iter is None:
-        lattice = grid.lattice_size(spec.corridor)
+        lattice = dp.lattice_size(spec.corridor, grid.delta)
         max_iter = max(1, math.ceil(4 * lattice / m))
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")

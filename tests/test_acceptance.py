@@ -318,7 +318,7 @@ def test_criterion_12_descent_and_window_equivalence(local_cached):
     )
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.25)
-    lattice = grid.lattice_size(spec.corridor)
+    lattice = dp.lattice_size(spec.corridor, grid.delta)
     stepped = localsearch.step(localsearch.initial_incumbent(grid, spec), lattice, grid, spec)
     reference = dp.solve(grid, spec)
     ys = np.array([grid.stages[i][k] for i, k in enumerate(stepped.indices)])

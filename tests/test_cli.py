@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from terracost import CostMode, CostModel, build_grid, field_from_expression, path_cost
+from terracost import CostMode, CostModel, build_grid, dp, field_from_expression, path_cost
 from terracost.cli import ConfigError, load_config, main, realize
 
 from conftest import RIDGE_ALPHA, RIDGE_BETA
@@ -183,34 +183,84 @@ def test_missing_heightmap_exits_1_naming_path(tmp_path, capsys):
     assert "missing_terrain.hm" in capsys.readouterr().err
 
 
+NEGATIVE_ALPHA = {"alpha": {"expression": "-1"}, "beta": {"expression": "1"}}
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "argv, overrides",
     [
-        pytest.param({"solver": {"method": "dp", "tau": 0.125, "q": 15}}, id="odd-q"),
-        pytest.param({"solver": {"method": "dp", "tau": "abc"}}, id="tau-not-a-number"),
-        pytest.param({"verify": 5}, id="verify-not-an-object"),
-        pytest.param({"problem": 5}, id="problem-not-an-object"),
         pytest.param(
-            {"problem": {"l": 1.0, "y_l": 1.0, "mode": ["flat2d"]}}, id="mode-not-a-string"
+            ["solve"], {"solver": {"method": "dp", "tau": 0.125, "q": 15}}, id="odd-q"
         ),
         pytest.param(
+            ["solve"], {"solver": {"method": "dp", "tau": "abc"}}, id="tau-not-a-number"
+        ),
+        pytest.param(["solve"], {"verify": 5}, id="verify-not-an-object"),
+        pytest.param(["solve"], {"problem": 5}, id="problem-not-an-object"),
+        pytest.param(
+            ["solve"],
+            {"problem": {"l": 1.0, "y_l": 1.0, "mode": ["flat2d"]}},
+            id="mode-not-a-string",
+        ),
+        pytest.param(
+            ["solve"],
             {"fields": {"alpha": {"expression": 0}, "beta": {"heightmap": 5}}},
             id="field-not-a-string",
         ),
-        pytest.param({"solver": {"method": "dp", "tau": 2}}, id="tau-above-span"),
-        pytest.param({"solver": {"method": "local", "tau": 0.125, "m": 0}}, id="local-m-0"),
+        pytest.param(["solve"], {"solver": {"method": "dp", "tau": 2}}, id="tau-above-span"),
         pytest.param(
-            {"solver": {"method": "local", "tau": 0.125, "max_iter": 0}}, id="local-max-iter-0"
+            ["solve"], {"solver": {"method": "local", "tau": 0.125, "m": 0}}, id="local-m-0"
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "local", "tau": 0.125, "max_iter": 0}},
+            id="local-max-iter-0",
+        ),
+        # A heightmap path that exists but cannot be read (a directory).
+        pytest.param(
+            ["solve"], {"fields": {"alpha": {"expression": "0"}, "beta": {"heightmap": "."}}},
+            id="heightmap-is-a-directory",
+        ),
+        pytest.param(
+            ["verify"], {"fields": {"alpha": {"expression": "0"}, "beta": {"heightmap": "."}}},
+            id="verify-heightmap-is-a-directory",
+        ),
+        pytest.param(["bench", "--levels", "0"], {}, id="bench-levels-0"),
+        pytest.param(["solve"], {"fields": NEGATIVE_ALPHA}, id="negative-alpha"),
+        pytest.param(
+            ["solve"],
+            {"fields": NEGATIVE_ALPHA, "solver": {"method": "local", "tau": 0.125}},
+            id="negative-alpha-local",
+        ),
+        pytest.param(
+            ["solve"],
+            {"fields": NEGATIVE_ALPHA, "solver": {"method": "ritz", "K": 2, "budget": 10}},
+            id="negative-alpha-ritz",
+        ),
+        pytest.param(
+            ["verify"],
+            {"fields": NEGATIVE_ALPHA, "solver": {"method": "dp", "tau": 0.25}},
+            id="verify-negative-alpha",
+        ),
+        pytest.param(
+            ["bench", "--levels", "1"], {"fields": NEGATIVE_ALPHA}, id="bench-negative-alpha"
+        ),
+        pytest.param(
+            ["solve"],
+            {"fields": {"alpha": {"expression": "0"}, "beta": {"expression": "x-0.5"}}},
+            id="negative-beta",
         ),
     ],
 )
-def test_bad_config_exits_1_with_config_error(tmp_path, capsys, overrides):
+def test_bad_config_exits_1_with_config_error(tmp_path, capsys, argv, overrides):
     config = write_config(tmp_path, **overrides)
-    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    out = tmp_path / "run"
+    extra = ["--out", str(out)] if argv[0] == "solve" else []
+    assert main([*argv, "--config", str(config), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
-    assert not (tmp_path / "run").exists()
+    assert not out.exists()
 
 
 def test_non_finite_cost_is_solver_error_naming_stage(tmp_path, capsys):
@@ -351,7 +401,7 @@ def test_refine_levels_reported(tmp_path):
         "tau": grid.tau,
         "delta": grid.delta,
         "n": grid.n,
-        "lattice_size": grid.lattice_size(spec.corridor),
+        "lattice_size": dp.lattice_size(spec.corridor, grid.delta),
     }
 
 

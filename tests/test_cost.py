@@ -10,12 +10,15 @@ coefficients in conftest probe the two benchmark problems end to end.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from terracost import (
     CostMode,
     CostModel,
+    NegativeRateError,
     field_from_expression,
     path_cost,
     path_cost_profile,
@@ -206,6 +209,26 @@ def test_segment_preconditions():
         path_cost(model, [0.0, 0.0, 1.0], [0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="start at x = 0"):
         path_cost(model, [0.5, 1.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, name",
+    [("-1", "1", "alpha"), ("0", "x-0.5", "beta"), ("0.1", "1-2*y", "beta")],
+)
+def test_negative_rate_is_refused(alpha, beta, name):
+    # Both pricing paths refuse a rate that is negative at any sample and
+    # name the field and a sample point where it is negative.
+    model = flat_model(alpha=alpha, beta=beta)
+    rate = model.alpha if name == "alpha" else model.beta
+    calls = (
+        lambda: segment_cost_batch(model, 0.0, 0.25, [0.0, 0.5], [0.25, 0.75]),
+        lambda: path_cost(model, [0.0, 0.5, 1.0], [0.0, 0.75, 1.0]),
+    )
+    for call in calls:
+        with pytest.raises(NegativeRateError, match=f"rate field '{name}'") as err:
+            call()
+        point = re.search(r"at \(x, y\) = \((.+), (.+)\)$", str(err.value))
+        assert rate.value(float(point[1]), float(point[2])) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from terracost import (
     ProblemSpec,
     build_grid,
     default_corridor,
+    dp,
     field_from_expression,
     field_from_heightmap,
     path_cost,
@@ -113,7 +116,7 @@ def test_grid_step_preconditions():
 def test_lattice_size():
     spec = make_flat_spec()
     grid = build_grid(spec, 0.25, 0.25)
-    assert grid.lattice_size(spec.corridor) == 5
+    assert dp.lattice_size(spec.corridor, grid.delta) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +180,44 @@ def test_tie_breaks_choose_smallest_predecessor():
     assert traj.ys[1] == -0.25
 
 
-def test_threaded_solve_is_bit_identical():
-    spec = make_ridge2d_spec()
-    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)  # 65x65 pairs per stage
-    serial = solve(grid, spec, threads=1)
-    threaded = solve(grid, spec, threads=4)
-    assert serial.cost == threaded.cost
-    assert np.array_equal(serial.ys, threaded.ys)
+@pytest.mark.parametrize(
+    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
+)
+@pytest.mark.parametrize("threads", [1, 4], ids=["threads1", "threads4"])
+@pytest.mark.parametrize("block_arcs", [1, 7, None], ids=["block1", "block7", "default"])
+def test_threaded_solve_is_bit_identical(monkeypatch, make_spec, threads, block_arcs):
+    # 65x65 pairs per stage fit in one default block, so blocks of 1 and 7
+    # arcs are needed to cross block boundaries (7 also splits the first
+    # stage's 65 to-nodes unevenly).
+    spec = make_spec()
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    reference = solve(grid, spec, threads=1)
+    if block_arcs is not None:
+        monkeypatch.setattr(dp, "_BLOCK_ARCS", block_arcs)
+    run = solve(grid, spec, threads=threads)
+    assert run.cost == reference.cost
+    assert np.array_equal(run.ys, reference.ys)
     assert (
-        serial.diagnostics.segment_cost_evaluations
-        == threaded.diagnostics.segment_cost_evaluations
+        run.diagnostics.segment_cost_evaluations
+        == reference.diagnostics.segment_cost_evaluations
     )
+
+
+def test_transition_memory_does_not_grow_with_the_lattice():
+    # The lattice of tau 1/48, delta = tau^1.5 (N = 333) on four stages: a
+    # whole-stage tableau would hold 333 * 333 * 17 samples per array (15 MB
+    # each, over 100 MB at peak); the memory of a transition does not
+    # depend on the number of stages.
+    spec = make_ridge2d_spec()
+    grid = build_grid(spec, 1 / 4, (1 / 48) ** 1.5)
+    assert dp.lattice_size(spec.corridor, grid.delta) == 333
+    tracemalloc.start()
+    try:
+        solve(grid, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_sweep_labels_satisfy_invariants():

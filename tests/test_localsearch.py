@@ -75,7 +75,7 @@ def test_initial_incumbent_cost_matches_path_cost():
 def test_full_window_step_reproduces_global_sweep():
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.25)
-    lattice = grid.lattice_size(spec.corridor)
+    lattice = dp.lattice_size(spec.corridor, grid.delta)
     inc = localsearch.initial_incumbent(grid, spec)
     stepped = localsearch.step(inc, lattice, grid, spec)
     reference = dp.solve(grid, spec)
@@ -177,6 +177,6 @@ def test_default_max_iter_scales_with_lattice():
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.5)
     traj, iterations = localsearch.run(spec, grid, m=1)
-    lattice = grid.lattice_size(spec.corridor)
+    lattice = dp.lattice_size(spec.corridor, grid.delta)
     assert iterations <= 4 * lattice
     assert not traj.diagnostics.hit_max_iter
