@@ -360,14 +360,9 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
         wall = time.perf_counter() - t0
         xs = np.linspace(0.0, spec.l, s.M)
         ys, _ = ritz.candidate_eval(result.candidate, xs)
-        zs = dp._heights(spec.model, xs, ys)
         cost, _, _ = path_cost_profile(spec.model, xs, ys)
         traj = dp.Trajectory(
-            xs=xs,
-            ys=ys,
-            zs=zs,
-            cost=cost,
-            diagnostics=dp.SolveDiagnostics(wall_time=wall, method="ritz"),
+            xs=xs, ys=ys, cost=cost, diagnostics=dp.SolveDiagnostics(wall_time=wall)
         )
         report.update(
             {
@@ -400,9 +395,7 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
         if s.method == "dp":
             traj = dp.solve(grid, spec, threads=threads)
         else:  # local
-            traj, _ = localsearch.run(
-                spec, grid, m=s.m, max_iter=s.max_iter, threads=threads
-            )
+            traj = localsearch.run(spec, grid, m=s.m, max_iter=s.max_iter)
             report["iterations"] = traj.diagnostics.iterations
             if traj.diagnostics.hit_max_iter:
                 report["hit_max_iter"] = True
@@ -420,6 +413,10 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
 def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, report, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     _, cum_len, cum_cost = path_cost_profile(spec.model, traj.xs, traj.ys)
+    # Relief heights at the knots; zero without a relief.
+    zs = np.zeros(traj.xs.size)
+    if spec.model.phi is not None:
+        zs = np.asarray(spec.model.phi.value(traj.xs, traj.ys), dtype=float)
 
     csv_path = out_dir / config.output.trajectory_csv
     rows = ["x,y,z,cumulative_length,cumulative_cost"]
@@ -427,7 +424,7 @@ def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, report, out_di
         rows.append(
             ",".join(
                 repr(float(v))
-                for v in (traj.xs[i], traj.ys[i], traj.zs[i], cum_len[i], cum_cost[i])
+                for v in (traj.xs[i], traj.ys[i], zs[i], cum_len[i], cum_cost[i])
             )
         )
     csv_path.write_text("\n".join(rows) + "\n")
@@ -439,7 +436,7 @@ def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, report, out_di
 
     plot_path = out_dir / config.output.plot_data
     lines = [
-        f"{float(traj.xs[i])!r} {float(traj.ys[i])!r} {float(traj.zs[i])!r}"
+        f"{float(traj.xs[i])!r} {float(traj.ys[i])!r} {float(zs[i])!r}"
         for i in range(traj.xs.size)
     ]
     plot_path.write_text("\n".join(lines) + "\n")
@@ -494,20 +491,14 @@ def _cmd_verify(args) -> int:
     print(f"gap:                {max(0.0, gap)!r}")
     threshold = config.gap_threshold
     if threshold is None:
-        # Default policy: with a zero delivery rate the sweep is exact, so
-        # any real gap is a failure; otherwise the gap is informational.
-        threshold = 1e-9 if _alpha_is_zero(spec) else float("inf")
+        # Default policy: when every arc the enumeration priced has a zero
+        # delivery slope the sweep is exact, so any real gap is a failure;
+        # otherwise the gap is informational.
+        threshold = 1e-9 if exact.additive else float("inf")
     if max(0.0, gap) > threshold:
         print(f"gap exceeds threshold {threshold!r}", file=sys.stderr)
         return 2
     return 0
-
-
-def _alpha_is_zero(spec: dp.ProblemSpec) -> bool:
-    xs = np.linspace(0.0, spec.l, 5)
-    ys = np.linspace(spec.corridor[0], spec.corridor[1], 5)
-    gx, gy = np.meshgrid(xs, ys)
-    return bool(np.all(np.asarray(spec.model.alpha.value(gx, gy)) == 0.0))
 
 
 def _cmd_schedule(args) -> int:

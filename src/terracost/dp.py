@@ -137,7 +137,6 @@ def lattice_size(corridor: tuple[float, float], delta: float) -> int:
 class SolveDiagnostics:
     segment_cost_evaluations: int = 0
     wall_time: float = 0.0
-    method: str = "dp"
     iterations: int | None = None
     hit_max_iter: bool = False
     cost_per_iteration: list[float] | None = None
@@ -146,11 +145,10 @@ class SolveDiagnostics:
 
 @dataclass
 class Trajectory:
-    """A solved polyline: knots, heights, functional value, run stats."""
+    """A solved polyline: knots, functional value, run stats."""
 
     xs: np.ndarray
     ys: np.ndarray
-    zs: np.ndarray
     cost: float
     diagnostics: SolveDiagnostics = field(default_factory=SolveDiagnostics)
 
@@ -250,20 +248,10 @@ def solve(grid: StageGrid, spec: ProblemSpec, threads: int = 1) -> Trajectory:
         idx.append(int(best[idx[-1]]))
     idx.reverse()
     ys = np.array([grid.stages[i][idx[i]] for i in range(grid.n + 1)])
-    zs = _heights(spec.model, grid.xs, ys)
     diag = SolveDiagnostics(
-        segment_cost_evaluations=evaluations,
-        wall_time=time.perf_counter() - t0,
-        method="dp",
+        segment_cost_evaluations=evaluations, wall_time=time.perf_counter() - t0
     )
-    return Trajectory(xs=grid.xs, ys=ys, zs=zs, cost=float(terminal_d[0]), diagnostics=diag)
-
-
-def _heights(model: CostModel, xs, ys):
-    if model.phi is None:
-        return np.zeros_like(np.asarray(xs, dtype=float))
-    v = model.phi.value(xs, ys)
-    return np.asarray(v, dtype=float)
+    return Trajectory(xs=grid.xs, ys=ys, cost=float(terminal_d[0]), diagnostics=diag)
 
 
 def refinement_schedule(

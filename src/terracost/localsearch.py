@@ -8,13 +8,16 @@ always lies inside its own windows, so the cost never increases; iteration
 stops at the first fixed point (identical polyline) or at ``max_iter``.
 The fixed point is a local optimum with respect to single-window moves; for
 a window spanning the whole lattice one step reproduces the global sweep.
+
+The incumbent is kept as its knot ordinates, which are lattice ordinates
+of their stages, so windows are cut from the stages by distance alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +27,17 @@ from .cost import path_cost
 __all__ = ["Incumbent", "initial_incumbent", "run", "step"]
 
 
-@dataclass
+@dataclasses.dataclass
 class Incumbent:
-    """Current polyline as per-stage ordinate indices, with its cost.
+    """Current polyline as one ordinate per stage, with its cost.
 
     ``evaluations`` counts the segment-cost evaluations spent producing this
     incumbent (grid sweep or initial path pricing).
     """
 
-    indices: list[int]
+    ys: np.ndarray
     cost: float
-    iteration: int = 0
-    evaluations: int = 0
+    evaluations: int
 
 
 def initial_incumbent(grid: dp.StageGrid, spec: dp.ProblemSpec) -> Incumbent:
@@ -44,62 +46,32 @@ def initial_incumbent(grid: dp.StageGrid, spec: dp.ProblemSpec) -> Incumbent:
     Each interior knot takes the nearest feasible ordinate of its stage;
     exact midpoints snap to the lower ordinate.
     """
-    chord_slope = spec.y_l / spec.l
-    indices = []
-    for i, stage in enumerate(grid.stages):
-        target = chord_slope * grid.xs[i]
-        indices.append(int(np.argmin(np.abs(stage - target))))
-    ys = np.array([grid.stages[i][k] for i, k in enumerate(indices)])
-    cost = path_cost(spec.model, grid.xs, ys)
-    return Incumbent(indices=indices, cost=cost, iteration=0, evaluations=grid.n)
+    chord = spec.y_l / spec.l * grid.xs
+    ys = np.array([stage[np.argmin(np.abs(stage - y))] for stage, y in zip(grid.stages, chord)])
+    return Incumbent(ys, path_cost(spec.model, grid.xs, ys), grid.n)
 
 
-def step(
-    incumbent: Incumbent,
-    m: int,
-    grid: dp.StageGrid,
-    spec: dp.ProblemSpec,
-    threads: int = 1,
-) -> Incumbent:
+def step(incumbent: Incumbent, m: int, grid: dp.StageGrid, spec: dp.ProblemSpec) -> Incumbent:
     """One truncated sweep around the incumbent; never returns a costlier one.
 
     Windows keep the ordinates within m lattice steps of the incumbent knot
-    (endpoint stages stay singletons).  Should the scalar-label sweep ever
-    price its polyline above the incumbent - possible in principle when the
-    delivery rate couples segments - the incumbent is kept unchanged, which
-    the driver treats as convergence.
+    (endpoint stages stay singletons).  A window transition holds at most
+    (2m+1)^2 arcs, so it is relaxed inline, without threads.  Should the
+    scalar-label sweep ever price its polyline above the incumbent - possible
+    in principle when the delivery rate couples segments - the incumbent's
+    ordinates are kept, which :func:`run` treats as convergence.
     """
     if m < 1:
         raise ValueError(f"window radius m must be >= 1, got {m}")
     # (m + 0.5)*delta tolerates rounding in the lattice ordinates while
     # admitting exactly m steps on each side.
     reach = (m + 0.5) * grid.delta
-    windows = []
-    for i, stage in enumerate(grid.stages):
-        y_inc = stage[incumbent.indices[i]]
-        windows.append(stage[np.abs(stage - y_inc) <= reach])
-    sub_grid = dp.StageGrid(
-        tau=grid.tau, delta=grid.delta, n=grid.n, xs=grid.xs, stages=windows
-    )
-    traj = dp.solve(sub_grid, spec, threads=threads)
+    windows = [stage[np.abs(stage - y) <= reach] for stage, y in zip(grid.stages, incumbent.ys)]
+    traj = dp.solve(dataclasses.replace(grid, stages=windows), spec)
     evaluations = traj.diagnostics.segment_cost_evaluations
     if traj.cost > incumbent.cost + 1e-12:
-        return Incumbent(
-            indices=list(incumbent.indices),
-            cost=incumbent.cost,
-            iteration=incumbent.iteration + 1,
-            evaluations=evaluations,
-        )
-    indices = []
-    for i, stage in enumerate(grid.stages):
-        k = int(np.searchsorted(stage, traj.ys[i]))
-        indices.append(k)
-    return Incumbent(
-        indices=indices,
-        cost=traj.cost,
-        iteration=incumbent.iteration + 1,
-        evaluations=evaluations,
-    )
+        return Incumbent(incumbent.ys, incumbent.cost, evaluations)
+    return Incumbent(traj.ys, traj.cost, evaluations)
 
 
 def run(
@@ -107,14 +79,13 @@ def run(
     grid: dp.StageGrid,
     m: int = 1,
     max_iter: int | None = None,
-    threads: int = 1,
-) -> tuple[dp.Trajectory, int]:
+) -> dp.Trajectory:
     """Iterate :func:`step` from the snapped chord to a fixed point.
 
-    Returns the final trajectory and the iteration count, where every
-    truncated sweep counts (including the final one that detects the fixed
-    point).  Hitting ``max_iter`` (default 4N/m for an N-node lattice) is
-    flagged in the diagnostics, not raised.
+    Returns the final trajectory.  ``diagnostics.iterations`` counts every
+    truncated sweep, including the final one that detects the fixed point;
+    hitting ``max_iter`` (default 4N/m for an N-node lattice) is flagged in
+    the diagnostics, not raised.
     """
     if max_iter is None:
         lattice = dp.lattice_size(spec.corridor, grid.delta)
@@ -126,31 +97,22 @@ def run(
     evaluations = incumbent.evaluations
     cost_history: list[float] = []
     evals_history: list[int] = []
-    iterations = 0
     converged = False
-    while iterations < max_iter:
-        nxt = step(incumbent, m, grid, spec, threads=threads)
-        iterations += 1
+    while len(cost_history) < max_iter:
+        nxt = step(incumbent, m, grid, spec)
         evaluations += nxt.evaluations
         cost_history.append(nxt.cost)
         evals_history.append(nxt.evaluations)
-        if nxt.indices == incumbent.indices:
-            incumbent = nxt
-            converged = True
-            break
+        converged = np.array_equal(nxt.ys, incumbent.ys)
         incumbent = nxt
-    ys = np.array([grid.stages[i][k] for i, k in enumerate(incumbent.indices)])
-    zs = dp._heights(spec.model, grid.xs, ys)
+        if converged:
+            break
     diag = dp.SolveDiagnostics(
         segment_cost_evaluations=evaluations,
         wall_time=time.perf_counter() - t0,
-        method="local",
-        iterations=iterations,
+        iterations=len(cost_history),
         hit_max_iter=not converged,
         cost_per_iteration=cost_history,
         evaluations_per_iteration=evals_history,
     )
-    traj = dp.Trajectory(
-        xs=grid.xs, ys=ys, zs=zs, cost=incumbent.cost, diagnostics=diag
-    )
-    return traj, iterations
+    return dp.Trajectory(xs=grid.xs, ys=incumbent.ys, cost=incumbent.cost, diagnostics=diag)

@@ -28,13 +28,16 @@ class EnumerationResult:
 
     ``best_path`` holds one ordinate index per stage (0 at the endpoint
     singletons); ties in cost resolve to the lexicographically smallest
-    index sequence.  ``costs``, when kept, is the cost of every enumerated
-    path in lexicographic path order.
+    index sequence.  ``additive`` is True when every arc of the grid has a
+    prefix slope of exactly 0 (no delivery cost), the case in which the
+    forward sweep is exact.  ``costs``, when kept, is the cost of every
+    enumerated path in lexicographic path order.
     """
 
     best_path: list[int]
     best_cost: float
     paths_evaluated: int
+    additive: bool
     costs: np.ndarray | None = None
 
 
@@ -64,11 +67,13 @@ def enumerate_paths(
     costs = np.zeros(1)
     lengths = np.zeros(1)
     last = np.zeros(1, dtype=int)
+    additive = True
     for i in range(grid.n):
         tau_i = grid.xs[i + 1] - grid.xs[i]
         tab = segment_cost_batch(
             spec.model, grid.xs[i], tau_i, grid.stages[i], grid.stages[i + 1]
         )
+        additive = additive and not tab.prefix_slope.any()
         # Same accumulation order as the forward sweep: (cost + fixed) + len*slope.
         new_costs = costs[:, None] + tab.fixed_cost[last] + lengths[:, None] * tab.prefix_slope[last]
         new_lengths = lengths[:, None] + tab.delta_len[last]
@@ -87,6 +92,7 @@ def enumerate_paths(
         best_path=path,
         best_cost=best_cost,
         paths_evaluated=costs.size,
+        additive=additive,
         costs=costs if keep_costs else None,
     )
 

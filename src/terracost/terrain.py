@@ -32,7 +32,7 @@ __all__ = [
 
 
 class FieldDomainError(ValueError):
-    """A query fell outside the field's declared domain."""
+    """A query fell outside the region where the field is defined."""
 
 
 @runtime_checkable
@@ -52,45 +52,22 @@ class ScalarField2D(Protocol):
 class ExpressionField:
     """Field whose value and gradient come from expression evaluation.
 
-    ``domain``, when given, is ((x_lo, x_hi), (y_lo, y_hi)); queries outside
-    it raise :class:`FieldDomainError`.  Without a domain the field is global.
+    Defined on the whole plane.
     """
 
     expression: Expression
-    domain: tuple[tuple[float, float], tuple[float, float]] | None = None
-
-    def _check(self, x, y):
-        if self.domain is None:
-            return
-        (x_lo, x_hi), (y_lo, y_hi) = self.domain
-        tol_x = 1e-9 * max(1.0, abs(x_lo), abs(x_hi))
-        tol_y = 1e-9 * max(1.0, abs(y_lo), abs(y_hi))
-        if (
-            np.any(np.less(x, x_lo - tol_x))
-            or np.any(np.greater(x, x_hi + tol_x))
-            or np.any(np.less(y, y_lo - tol_y))
-            or np.any(np.greater(y, y_hi + tol_y))
-        ):
-            raise FieldDomainError(
-                f"query outside declared domain [{x_lo}, {x_hi}] x [{y_lo}, {y_hi}]"
-            )
 
     def value(self, x, y):
-        self._check(x, y)
         return self.expression.eval(x, y)
 
     def value_and_partials(self, x, y):
-        self._check(x, y)
         return tuple(self.expression.eval_dual(x, y))
 
 
-def field_from_expression(
-    source: str | Expression,
-    domain: tuple[tuple[float, float], tuple[float, float]] | None = None,
-) -> ExpressionField:
+def field_from_expression(source: str | Expression) -> ExpressionField:
     """Build an analytic field from expression text or a parsed expression."""
     expression = parse(source) if isinstance(source, str) else source
-    return ExpressionField(expression, domain)
+    return ExpressionField(expression)
 
 
 # ---------------------------------------------------------------------------

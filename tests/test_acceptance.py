@@ -76,8 +76,9 @@ def test_criterion_1_ridge_sweep(dp_cached):
 
 
 def test_criterion_2_ridge_local_search(local_cached):
-    traj16, iters16 = local_cached("ridge2d", 1 / 16, 0.5, 1)
-    traj32, _ = local_cached("ridge2d", 1 / 32, 0.5, 1)
+    traj16 = local_cached("ridge2d", 1 / 16, 0.5, 1)
+    traj32 = local_cached("ridge2d", 1 / 32, 0.5, 1)
+    iters16 = traj16.diagnostics.iterations
     check(
         "criterion 2a (ridge local m=1 tau=1/16)",
         rel_ok(traj16.cost, 1.44010) and iters16 <= 90,
@@ -106,7 +107,8 @@ def test_criterion_3_relief_sweep(dp_cached):
 
 
 def test_criterion_4_relief_local_search(local_cached):
-    traj, iters = local_cached("relief3d", 1 / 16, 0.5, 1)
+    traj = local_cached("relief3d", 1 / 16, 0.5, 1)
+    iters = traj.diagnostics.iterations
     check(
         "criterion 4 (relief local m=1 tau=1/16)",
         rel_ok(traj.cost, 1.13964),
@@ -171,8 +173,8 @@ def test_criterion_7_complexity_scaling(dp_cached, local_cached):
     )
     # Windowed search: per-iteration work is ~(2m+1)^2 * n, so halving tau
     # should double it for fixed m.
-    t16, _ = local_cached("ridge2d", 1 / 16, 0.5, 1)
-    t32, _ = local_cached("ridge2d", 1 / 32, 0.5, 1)
+    t16 = local_cached("ridge2d", 1 / 16, 0.5, 1)
+    t32 = local_cached("ridge2d", 1 / 32, 0.5, 1)
     mean16 = float(np.mean(t16.diagnostics.evaluations_per_iteration))
     mean32 = float(np.mean(t32.diagnostics.evaluations_per_iteration))
     ratio = mean32 / mean16
@@ -192,7 +194,7 @@ def test_criterion_8_closed_forms():
     spec = make_flat_spec(alpha="0", beta="1")
     grid = build_grid(spec, 0.25, 0.0625)
     sweep = dp.solve(grid, spec)
-    local_traj, _ = localsearch.run(spec, grid, m=1)
+    local_traj = localsearch.run(spec, grid, m=1)
     series = ritz.minimize(spec.model, 1.0, 1.0, basis_size=5, budget=4000)
     ok = (
         abs(sweep.cost - SQRT2) <= 1e-4
@@ -308,7 +310,7 @@ def test_criterion_11_derivative_correctness():
 def test_criterion_12_descent_and_window_equivalence(local_cached):
     ok_descent = True
     for problem, tau in (("ridge2d", 1 / 16), ("ridge2d", 1 / 32), ("relief3d", 1 / 16)):
-        traj, _ = local_cached(problem, tau, 0.5, 1)
+        traj = local_cached(problem, tau, 0.5, 1)
         costs = traj.diagnostics.cost_per_iteration
         ok_descent &= all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
     check(
@@ -321,8 +323,7 @@ def test_criterion_12_descent_and_window_equivalence(local_cached):
     lattice = dp.lattice_size(spec.corridor, grid.delta)
     stepped = localsearch.step(localsearch.initial_incumbent(grid, spec), lattice, grid, spec)
     reference = dp.solve(grid, spec)
-    ys = np.array([grid.stages[i][k] for i, k in enumerate(stepped.indices)])
-    bitwise = bool(np.array_equal(ys, reference.ys) and stepped.cost == reference.cost)
+    bitwise = bool(np.array_equal(stepped.ys, reference.ys) and stepped.cost == reference.cost)
     check(
         "criterion 12b (full window reproduces the global sweep bitwise)",
         bitwise,

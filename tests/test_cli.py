@@ -10,7 +10,7 @@ import pytest
 from terracost import CostMode, CostModel, build_grid, dp, field_from_expression, path_cost
 from terracost.cli import ConfigError, load_config, main, realize
 
-from conftest import RIDGE_ALPHA, RIDGE_BETA
+from conftest import RELIEF_PHI, RIDGE_ALPHA, RIDGE_BETA
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -42,6 +42,11 @@ def read_csv_knots(path):
     assert lines[0] == "x,y,z,cumulative_length,cumulative_cost"
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return data
+
+
+def read_plot_rows(path):
+    lines = path.read_text().strip().splitlines()
+    return np.array([[float(v) for v in line.split()] for line in lines])
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +174,45 @@ def test_local_report_differs_only_in_expected_fields(tmp_path):
     volatile = {"J", "method", "iterations", "wall_time_s", "segment_cost_evaluations"}
     for key in set(r_dp) - volatile:
         assert r_dp[key] == r_local[key], key
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        pytest.param({"method": "dp", "tau": 0.25, "epsilon": 0.5}, id="dp"),
+        pytest.param({"method": "local", "tau": 0.25, "epsilon": 0.5}, id="local"),
+        pytest.param({"method": "ritz", "K": 2, "M": 64, "budget": 200}, id="ritz"),
+    ],
+)
+def test_heights_are_the_relief_at_the_written_knots(tmp_path, solver):
+    config = write_config(
+        tmp_path,
+        problem={"l": 1.0, "y_l": 1.0, "corridor": [0.0, 1.0], "mode": "full3d"},
+        fields={
+            "alpha": {"expression": "0.1"},
+            "beta": {"expression": "0.5"},
+            "phi": {"expression": RELIEF_PHI},
+        },
+        solver=solver,
+    )
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    data = read_csv_knots(out / "traj.csv")
+    plot = read_plot_rows(out / "plot.dat")
+    expected = field_from_expression(RELIEF_PHI).value(data[:, 0], data[:, 1])
+    assert np.any(expected != 0.0)
+    assert np.array_equal(data[:, 2], expected)
+    assert np.array_equal(plot[:, 2], expected)
+
+
+def test_heights_are_zero_without_relief(tmp_path):
+    config = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    data = read_csv_knots(out / "traj.csv")
+    plot = read_plot_rows(out / "plot.dat")
+    assert np.array_equal(data[:, 2], np.zeros(len(data)))
+    assert np.array_equal(plot[:, 2], np.zeros(len(plot)))
 
 
 def test_missing_heightmap_exits_1_naming_path(tmp_path, capsys):
@@ -423,6 +467,25 @@ def test_verify_additive_config_passes(tmp_path, capsys):
 def test_verify_positive_delivery_is_informational(tmp_path):
     config = write_config(tmp_path, solver={"method": "dp", "tau": 0.25, "epsilon": 0.25})
     assert main(["verify", "--config", str(config)]) == 0
+
+
+def test_verify_alpha_vanishing_at_the_stages_is_informational(tmp_path, capsys):
+    # This delivery rate is zero at every stage abscissa and every sampled
+    # corner of the corridor, but not along the arcs, so the sweep is not
+    # exact and its gap must not be judged by the strict default threshold.
+    config = write_config(
+        tmp_path,
+        fields={
+            "alpha": {"expression": "300*abs(x*(x-0.25)*(x-0.5)*(x-0.75)*(x-1))"},
+            "beta": {"expression": "1+sin(5*x)*sin(y)"},
+        },
+        solver={"method": "dp", "tau": 0.25, "gamma": 4, "epsilon": 1},
+    )
+    assert main(["verify", "--config", str(config)]) == 0
+    gap_line = next(
+        line for line in capsys.readouterr().out.splitlines() if line.startswith("gap:")
+    )
+    assert float(gap_line.split()[-1]) > 1e-9
 
 
 def test_verify_cap_exceeded_exits_2(tmp_path, capsys):

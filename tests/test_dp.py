@@ -258,16 +258,6 @@ def test_ridge_benchmark_value():
     assert traj.cost == pytest.approx(1.44010, rel=0.01)
 
 
-def test_heights_follow_relief():
-    from conftest import make_relief3d_spec
-
-    spec = make_relief3d_spec()
-    grid = build_grid(spec, 0.25, 0.25)
-    traj = solve(grid, spec)
-    expected = spec.model.phi.value(traj.xs, traj.ys)
-    assert np.allclose(traj.zs, expected, atol=0.0)
-
-
 # ---------------------------------------------------------------------------
 # refinement schedule
 

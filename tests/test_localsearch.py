@@ -26,8 +26,7 @@ def test_chord_on_lattice_snaps_exactly():
     spec = make_flat_spec()
     grid = build_grid(spec, 0.25, 0.25)
     inc = localsearch.initial_incumbent(grid, spec)
-    ys = [grid.stages[i][k] for i, k in enumerate(inc.indices)]
-    assert ys == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert inc.ys.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_chord_snaps_to_nearest():
@@ -36,7 +35,7 @@ def test_chord_snaps_to_nearest():
     grid = build_grid(spec, 0.5, 0.25)
     inc = localsearch.initial_incumbent(grid, spec)
     # chord midpoint 0.3 snaps to 0.25
-    assert grid.stages[1][inc.indices[1]] == 0.25
+    assert inc.ys[1] == 0.25
 
 
 def test_chord_snap_ties_down():
@@ -45,7 +44,7 @@ def test_chord_snap_ties_down():
     grid = build_grid(spec, 0.5, 0.25)
     inc = localsearch.initial_incumbent(grid, spec)
     # chord midpoint 0.375 is equidistant from 0.25 and 0.5: lower wins
-    assert grid.stages[1][inc.indices[1]] == 0.25
+    assert inc.ys[1] == 0.25
 
 
 def test_chord_snaps_to_nearest_feasible():
@@ -55,7 +54,7 @@ def test_chord_snaps_to_nearest_feasible():
     grid = build_grid(spec, 0.5, 0.25)
     assert 0.5 not in grid.stages[1]
     inc = localsearch.initial_incumbent(grid, spec)
-    assert grid.stages[1][inc.indices[1]] == 0.25  # nearest feasible, ties down
+    assert inc.ys[1] == 0.25  # nearest feasible, ties down
 
 
 def test_initial_incumbent_cost_matches_path_cost():
@@ -64,8 +63,7 @@ def test_initial_incumbent_cost_matches_path_cost():
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.5)
     inc = localsearch.initial_incumbent(grid, spec)
-    ys = np.array([grid.stages[i][k] for i, k in enumerate(inc.indices)])
-    assert inc.cost == path_cost(spec.model, grid.xs, ys)
+    assert inc.cost == path_cost(spec.model, grid.xs, inc.ys)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +77,7 @@ def test_full_window_step_reproduces_global_sweep():
     inc = localsearch.initial_incumbent(grid, spec)
     stepped = localsearch.step(inc, lattice, grid, spec)
     reference = dp.solve(grid, spec)
-    ys = np.array([grid.stages[i][k] for i, k in enumerate(stepped.indices)])
-    assert np.array_equal(ys, reference.ys)
+    assert np.array_equal(stepped.ys, reference.ys)
     assert stepped.cost == reference.cost
 
 
@@ -105,15 +102,10 @@ def test_step_requires_positive_window():
 def test_fixed_point_is_idempotent():
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.5)
-    traj, _ = localsearch.run(spec, grid, m=1)
-    converged = localsearch.initial_incumbent(grid, spec)
-    # rebuild the converged incumbent from the trajectory
-    indices = [
-        int(np.searchsorted(grid.stages[i], traj.ys[i])) for i in range(grid.n + 1)
-    ]
-    converged = localsearch.Incumbent(indices=indices, cost=traj.cost)
+    traj = localsearch.run(spec, grid, m=1)
+    converged = localsearch.Incumbent(traj.ys, traj.cost, 0)
     again = localsearch.step(converged, 1, grid, spec)
-    assert again.indices == indices
+    assert np.array_equal(again.ys, traj.ys)
     assert again.cost == traj.cost
 
 
@@ -124,33 +116,33 @@ def test_fixed_point_is_idempotent():
 def test_flat_problem_converges_to_chord():
     spec = make_flat_spec(alpha="0", beta="1")
     grid = build_grid(spec, 0.25, 0.25)
-    traj, iterations = localsearch.run(spec, grid, m=1)
+    traj = localsearch.run(spec, grid, m=1)
     assert traj.cost == pytest.approx(SQRT2, abs=1e-6)
     assert np.allclose(traj.ys, traj.xs, atol=1e-12)
-    assert iterations >= 1
+    assert traj.diagnostics.iterations >= 1
     assert not traj.diagnostics.hit_max_iter
 
 
 def test_ridge_benchmark_run(local_cached):
-    traj, iterations = local_cached("ridge2d", 1 / 16, 0.5, 1)
+    traj = local_cached("ridge2d", 1 / 16, 0.5, 1)
     assert traj.cost == pytest.approx(1.44010, rel=0.01)
-    assert iterations <= 90
+    assert traj.diagnostics.iterations <= 90
 
 
 def test_relief_benchmark_run(local_cached):
-    traj, _ = local_cached("relief3d", 1 / 16, 0.5, 1)
+    traj = local_cached("relief3d", 1 / 16, 0.5, 1)
     assert traj.cost == pytest.approx(1.13964, rel=0.01)
 
 
 def test_local_matches_global_sweep_within_tenth_percent(local_cached, dp_cached):
     for problem in ("ridge2d", "relief3d"):
-        local_traj, _ = local_cached(problem, 1 / 16, 0.5, 1)
+        local_traj = local_cached(problem, 1 / 16, 0.5, 1)
         global_traj = dp_cached(problem, 1 / 16, 0.5)
         assert abs(local_traj.cost - global_traj.cost) <= 1e-3 * global_traj.cost
 
 
 def test_monotone_descent(local_cached):
-    traj, _ = local_cached("ridge2d", 1 / 16, 0.5, 1)
+    traj = local_cached("ridge2d", 1 / 16, 0.5, 1)
     costs = traj.diagnostics.cost_per_iteration
     assert costs is not None and len(costs) >= 1
     for previous, current in zip(costs, costs[1:]):
@@ -158,9 +150,9 @@ def test_monotone_descent(local_cached):
 
 
 def test_per_iteration_work_bound(local_cached):
-    traj, iterations = local_cached("ridge2d", 1 / 16, 0.5, 1)
+    traj = local_cached("ridge2d", 1 / 16, 0.5, 1)
     per_iter = traj.diagnostics.evaluations_per_iteration
-    assert len(per_iter) == iterations
+    assert len(per_iter) == traj.diagnostics.iterations
     grid_n = traj.xs.size - 1
     assert all(e <= 9 * grid_n for e in per_iter)  # (2m+1)^2 * n with m = 1
 
@@ -168,15 +160,15 @@ def test_per_iteration_work_bound(local_cached):
 def test_max_iter_flagged_not_raised():
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
-    traj, iterations = localsearch.run(spec, grid, m=1, max_iter=2)
-    assert iterations == 2
+    traj = localsearch.run(spec, grid, m=1, max_iter=2)
+    assert traj.diagnostics.iterations == 2
     assert traj.diagnostics.hit_max_iter
 
 
 def test_default_max_iter_scales_with_lattice():
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.5)
-    traj, iterations = localsearch.run(spec, grid, m=1)
+    traj = localsearch.run(spec, grid, m=1)
     lattice = dp.lattice_size(spec.corridor, grid.delta)
-    assert iterations <= 4 * lattice
+    assert traj.diagnostics.iterations <= 4 * lattice
     assert not traj.diagnostics.hit_max_iter

@@ -22,7 +22,7 @@ from terracost import (
 )
 from terracost.oracle import dp_gap, enumerate_paths
 
-from conftest import make_ridge2d_spec
+from conftest import RIDGE_ALPHA, RIDGE_BETA, make_flat_spec, make_ridge2d_spec
 
 
 def random_instance(rng, zero_alpha: bool):
@@ -74,6 +74,22 @@ def test_additive_instances_match_sweep_exactly():
         exact = enumerate_paths(grid, spec)
         traj = dp.solve(grid, spec)
         assert abs(traj.cost - exact.best_cost) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha, additive",
+    [
+        ("0", True),
+        (RIDGE_ALPHA, False),
+        # zero at every stage abscissa, positive between them
+        ("300*abs(x*(x-0.25)*(x-0.5)*(x-0.75)*(x-1))", False),
+    ],
+    ids=["zero", "ridge", "vanishing-at-stages"],
+)
+def test_additive_flag_reflects_the_priced_arcs(alpha, additive):
+    spec = make_flat_spec(alpha=alpha, beta=RIDGE_BETA)
+    grid = build_grid(spec, 0.25, 0.25)
+    assert enumerate_paths(grid, spec).additive is additive
 
 
 def test_positive_delivery_gap_is_nonnegative_and_reported():

@@ -43,15 +43,6 @@ def test_linear_ramp_field():
     assert f.value_and_partials(0.7, 0.2) == (0.7, 1.0, 0.0)
 
 
-def test_expression_field_domain_enforced():
-    f = field_from_expression("x+y", domain=((0.0, 1.0), (-1.0, 1.0)))
-    assert f.value(0.5, 0.5) == 1.0
-    with pytest.raises(FieldDomainError):
-        f.value(1.5, 0.0)
-    with pytest.raises(FieldDomainError):
-        f.value(np.array([0.2, 0.4]), np.array([0.0, -2.0]))
-
-
 def test_expression_field_gradient_matches_finite_differences():
     f = field_from_expression("exp(x/3)*cos(2*y)")
     rng = np.random.default_rng(11)
