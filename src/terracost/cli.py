@@ -344,7 +344,11 @@ def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int, threads: int):
 
 
 def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
-    """Dispatch on solver.method; returns (trajectory, report dict)."""
+    """Dispatch on solver.method.
+
+    Returns the trajectory, the report dict and the trajectory's
+    (cumulative length, cumulative cost) per knot, priced once.
+    """
     s = config.solver
     report: dict = {"method": s.method, "iterations": None}
     if s.method == "ritz":
@@ -360,7 +364,7 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
         wall = time.perf_counter() - t0
         xs = np.linspace(0.0, spec.l, s.M)
         ys, _ = ritz.candidate_eval(result.candidate, xs)
-        cost, _, _ = path_cost_profile(spec.model, xs, ys)
+        cost, cum_len, cum_cost = path_cost_profile(spec.model, xs, ys)
         traj = dp.Trajectory(
             xs=xs, ys=ys, cost=cost, diagnostics=dp.SolveDiagnostics(wall_time=wall)
         )
@@ -375,7 +379,7 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
                 "wall_time_s": wall,
             }
         )
-        return traj, report
+        return traj, report, (cum_len, cum_cost)
 
     if s.method == "dp" and s.refine_levels > 0:
         rows, traj = _ladder(config, spec, s.refine_levels, threads)
@@ -407,12 +411,13 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
             "wall_time_s": traj.diagnostics.wall_time,
         }
     )
-    return traj, report
-
-
-def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, report, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
     _, cum_len, cum_cost = path_cost_profile(spec.model, traj.xs, traj.ys)
+    return traj, report, (cum_len, cum_cost)
+
+
+def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, profile, report, out_dir: Path):
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cum_len, cum_cost = profile
     # Relief heights at the knots; zero without a relief.
     zs = np.zeros(traj.xs.size)
     if spec.model.phi is not None:
@@ -464,9 +469,9 @@ def _cmd_solve(args) -> int:
     spec = realize(config)
     for message in config.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    traj, report = _solve(config, spec, _resolve_threads(args))
+    traj, report, profile = _solve(config, spec, _resolve_threads(args))
     try:
-        paths = _write_outputs(config, spec, traj, report, Path(args.out))
+        paths = _write_outputs(config, spec, traj, profile, report, Path(args.out))
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

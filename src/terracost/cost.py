@@ -16,16 +16,28 @@ arc length accumulated before it.
 
 In the flattened 2-D mode z' is dropped entirely and the relief is ignored.
 
-One kernel, :func:`_tableau`, samples the fields and integrates.  It prices
-a batch of pieces (segments or mesh cells), each with q + 1 samples, as
-the affine split delta_j = fixed_cost + prefix_slope * len_start plus the
-piece's own arc length, and leaves the ``len_start`` threading to its
-three callers:
+One kernel, :func:`_integrate`, integrates.  It prices a batch of pieces
+(segments or mesh cells), each with q + 1 samples, as the affine split
+delta_j = fixed_cost + prefix_slope * len_start plus the piece's own arc
+length, and leaves the ``len_start`` threading to its three callers:
 
 * :func:`segment_cost_batch` - every from/to pair of one stage transition;
 * :func:`path_cost_profile`  - all segments of one polyline at once;
 * :func:`smooth_path_cost`   - the mesh cells of a smooth candidate curve,
   sampled on a :func:`smooth_mesh`.
+
+The kernel reads field values, not fields.  They are sampled in one of two
+ways, and this module is the only one that samples fields:
+
+* directly, at every sample of every piece (:func:`_tableau`);
+* once per stage transition on its fine lattice (:func:`sample_stage`).
+  A stage ordinate is y_lo + k*delta, so sample j of the arc from ordinate
+  k to ordinate s lies at row k*(q - j) + s*j of the lattice
+  y_lo + r*delta/q, x_start + j*tau/q; :func:`segment_cost_batch` gathers
+  each arc's samples from there by index.  Only exact lattice ordinates
+  gather; an off-lattice start or terminal ordinate is priced directly.
+
+A negative rate is refused at the samples some piece reads, either way.
 
 Quadrature is a composite trapezoid rule with ``q`` subintervals per
 piece; the inner prefix integral uses trapezoid prefix sums over the same
@@ -47,8 +59,10 @@ __all__ = [
     "CostModel",
     "NegativeRateError",
     "SegmentTableau",
+    "StageSamples",
     "path_cost",
     "path_cost_profile",
+    "sample_stage",
     "segment_cost_batch",
     "smooth_mesh",
     "smooth_path_cost",
@@ -106,20 +120,51 @@ def _trapz(g: np.ndarray, h) -> np.ndarray:
     return (h * (ends + g[..., 1:-1].sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def _tableau(model: CostModel, xs, ys, yp, h) -> SegmentTableau:
-    """The quadrature kernel: integrate one batch of pieces.
+class _Samples(NamedTuple):
+    # The field values the kernel reads at a batch's quadrature samples; the
+    # relief partials are None in flat 2-D mode.
+    alpha: np.ndarray
+    beta: np.ndarray
+    phi_x: np.ndarray | None = None
+    phi_y: np.ndarray | None = None
 
-    ``xs``/``ys`` are sample grids whose last axis holds q+1 quadrature
-    points per piece; ``yp`` is the path slope at the samples and ``h`` the
-    sample spacing of each piece, both broadcastable against them.
-    """
+
+def _sample(model: CostModel, xs, ys) -> _Samples:
+    # Evaluate the fields at the points (xs, ys), broadcast against each other.
+    partials = ()
     if model.mode is CostMode.FULL_3D:
-        _, px, py = model.phi.value_and_partials(xs, ys)
-        zp = px + py * yp
-        phi_arc = np.sqrt(1.0 + yp * yp + zp * zp)
-    else:
+        partials = model.phi.value_and_partials(xs, ys)[1:]
+    rates = (np.asarray(model.alpha.value(xs, ys)), np.asarray(model.beta.value(xs, ys)))
+    return _Samples(*rates, *partials)
+
+
+def _check_rates(samples: _Samples, shape, point) -> None:
+    # Refuse a negative rate at any sample of a batch of the given shape;
+    # point(k) is the (x, y) of the sample at index k.
+    for name, values in (("alpha", samples.alpha), ("beta", samples.beta)):
+        if (values < 0).any():
+            values = np.broadcast_to(values, shape)
+            k = np.unravel_index(np.argmax(values < 0), shape)
+            x, y = point(k)
+            raise NegativeRateError(
+                f"rate field '{name}' is negative ({float(values[k])!r}) "
+                f"at (x, y) = ({float(x)!r}, {float(y)!r})"
+            )
+
+
+def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
+    """The quadrature kernel: integrate one batch of pieces from its samples.
+
+    The batch has the sample ``shape``, whose last axis holds q+1 quadrature
+    points per piece; the field ``samples``, the path slope ``yp`` at them and
+    the sample spacing ``h`` of each piece broadcast against it.
+    """
+    if samples.phi_x is None:
         phi_arc = np.sqrt(1.0 + yp * yp)
-    phi_arc = np.broadcast_to(phi_arc, ys.shape)
+    else:
+        zp = samples.phi_x + samples.phi_y * yp
+        phi_arc = np.sqrt(1.0 + yp * yp + zp * zp)
+    phi_arc = np.broadcast_to(phi_arc, shape)
 
     # Within-piece arc-length prefix (trapezoid prefix sums).
     panel = 0.5 * h * (phi_arc[..., :-1] + phi_arc[..., 1:])
@@ -127,25 +172,18 @@ def _tableau(model: CostModel, xs, ys, yp, h) -> SegmentTableau:
         [np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)], axis=-1
     )
 
-    a = _rate(model.alpha, "alpha", xs, ys)
-    b = _rate(model.beta, "beta", xs, ys)
-    delivery = a * phi_arc
-    fixed = _trapz(delivery * prefix, h) + _trapz(b * phi_arc, h)
+    delivery = samples.alpha * phi_arc
+    fixed = _trapz(delivery * prefix, h) + _trapz(samples.beta * phi_arc, h)
     slope = _trapz(delivery, h)
     return SegmentTableau(fixed, slope, prefix[..., -1])
 
 
-def _rate(rate: ScalarField2D, name: str, xs, ys) -> np.ndarray:
-    # A rate field on the kernel's samples (ys has the full sample shape).
-    values = np.asarray(rate.value(xs, ys))
-    if (values < 0).any():
-        values, xs = np.broadcast_to(values, ys.shape), np.broadcast_to(xs, ys.shape)
-        k = np.unravel_index(np.argmax(values < 0), ys.shape)
-        raise NegativeRateError(
-            f"rate field '{name}' is negative ({float(values[k])!r}) "
-            f"at (x, y) = ({float(xs[k])!r}, {float(ys[k])!r})"
-        )
-    return np.broadcast_to(values, ys.shape)
+def _tableau(model: CostModel, xs, ys, yp, h) -> SegmentTableau:
+    # Sample the fields at the points (xs, ys) and integrate; ys has the
+    # full sample shape.
+    samples = _sample(model, xs, ys)
+    _check_rates(samples, ys.shape, lambda k: (np.broadcast_to(xs, ys.shape)[k], ys[k]))
+    return _integrate(samples, yp, h, ys.shape)
 
 
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to) -> SegmentTableau:
@@ -158,19 +196,91 @@ def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to) -> SegmentTabl
     return _tableau(model, xs, ys, (y_to - y_from) / tau, tau / q)
 
 
+class StageSamples(NamedTuple):
+    """The fields sampled once on the fine lattice of one stage transition.
+
+    Column j lies at x_start + j*tau/q and row r at y_lo + delta*(r/q), for
+    rows r = k_lo*q ... k_hi*q.  The arc from lattice ordinate k to lattice
+    ordinate s samples row k*(q - j) + s*j at column j, so every arc of the
+    transition finds its samples here.  ``fields`` holds (rows, q + 1)
+    arrays.
+    """
+
+    y_lo: float
+    delta: float
+    k_lo: int
+    xs: np.ndarray
+    ys: np.ndarray
+    fields: _Samples
+
+
+def sample_stage(
+    model: CostModel, x_start: float, tau: float, y_lo: float, delta: float, y_from, y_to
+) -> StageSamples | None:
+    """Sample the fields once on the fine lattice of one stage transition.
+
+    The transition's ordinates must be lattice ordinates: y == y_lo + delta*k
+    exactly, for k = rint((y - y_lo)/delta).  Returns None when one is not
+    (an off-lattice start or terminal ordinate); its arcs are then priced
+    directly.  Rates are checked when arcs gather them, not here, so a
+    negative value at a lattice point no arc samples is never refused.
+    """
+    ks = []
+    for y in (y_from, y_to):
+        y = np.asarray(y, dtype=float)
+        k = np.rint((y - y_lo) / delta)
+        if not np.array_equal(y_lo + delta * k, y):
+            return None
+        ks.append(k)
+    q = model.quadrature_subdivisions
+    k_lo = int(min(k.min() for k in ks))
+    k_hi = int(max(k.max() for k in ks))
+    xs = x_start + tau * (np.arange(q + 1) / q)
+    ys = y_lo + delta * (np.arange(k_lo * q, k_hi * q + 1) / q)
+    shape = (ys.size, q + 1)
+    fields = _sample(model, xs, ys[:, None])
+    fields = _Samples(
+        *(None if v is None else np.ascontiguousarray(np.broadcast_to(v, shape)) for v in fields)
+    )
+    return StageSamples(y_lo, delta, k_lo, xs, ys, fields)
+
+
 def segment_cost_batch(
-    model: CostModel, x_start: float, tau: float, y_from, y_to
+    model: CostModel,
+    x_start: float,
+    tau: float,
+    y_from,
+    y_to,
+    *,
+    samples: StageSamples | None = None,
 ) -> SegmentTableau:
     """Evaluate all from x to pairs of one stage transition in one call.
 
     Returns arrays of shape (len(y_from), len(y_to)).  Each pair is the
     linear segment from (x_start, y_from[k]) to (x_start + tau, y_to[s]).
+    With ``samples``, the :func:`sample_stage` of this transition, the
+    pairs' field values are gathered from the stage lattice instead of
+    evaluated; the integration is the same.
     """
     if tau <= 0:
         raise ValueError(f"segment width must be positive, got {tau}")
     yf = np.asarray(y_from, dtype=float)[:, None, None]
     yt = np.asarray(y_to, dtype=float)[None, :, None]
-    return _linear_tableau(model, x_start, tau, yf, yt)
+    if samples is None:
+        return _linear_tableau(model, x_start, tau, yf, yt)
+    q = model.quadrature_subdivisions
+    j = np.arange(q + 1)
+    kf, kt = (
+        np.rint((y - samples.y_lo) / samples.delta).astype(np.intp) - samples.k_lo
+        for y in (yf, yt)
+    )
+    # Flat index of sample j of arc (k, s): row k*(q - j) + s*j, column j.
+    flat = (kf * ((q - j) * (q + 1)) + j) + kt * (j * (q + 1))
+    gathered = _Samples(*(None if v is None else v.take(flat) for v in samples.fields))
+    _check_rates(
+        gathered, flat.shape, lambda k: (samples.xs[k[-1]], samples.ys[flat[k] // (q + 1)])
+    )
+    return _integrate(gathered, (yt - yf) / tau, tau / q, flat.shape)
 
 
 def path_cost_profile(model: CostModel, xs, ys):

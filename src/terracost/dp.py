@@ -24,6 +24,15 @@ are mapped over a thread pool).  A label that is not finite (singular or
 overflowing fields) stops the sweep with an error naming its stage, so it
 can never pick a path.
 
+A transition whose fine lattice has fewer rows than it has arcs (a full
+stage to a full stage) samples its fields once on that lattice, at
+(q + 1) * ((k_max - k_min) * q + 1) points, and every block gathers its
+arcs' samples from there (see :mod:`terracost.cost`).  Local's windows and
+the endpoint fans have more rows than arcs and are priced directly, as is
+any transition with an ordinate off the lattice y_lo + k*delta, such as an
+off-lattice start or terminal ordinate.  Both ways give the same tableau up
+to the rounding of the sample ordinates.
+
 Refinement follows the coupling delta_k = gamma * tau_k^(1+eps): halving
 tau while shrinking delta strictly faster is what makes the refined optima
 converge; eps = 0 is accepted but warns, since convergence is then no
@@ -41,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import CostModel, segment_cost_batch
+from .cost import CostModel, sample_stage, segment_cost_batch
 from .terrain import ScalarField2D, feasible
 
 __all__ = [
@@ -182,16 +191,30 @@ def build_grid(spec: ProblemSpec, tau: float, delta: float) -> StageGrid:
     return StageGrid(tau=tau, delta=delta, n=n, xs=xs, stages=stages)
 
 
-def _relax(model: CostModel, x_start, tau, y_from, d, length, y_to):
+def _relax(model: CostModel, x_start, tau, y_from, d, length, y_to, samples=None):
     """Best predecessor, cost-to-come and prefix length for a block of to-nodes.
 
     Ties pick the smallest predecessor index (argmin returns the first minimum).
     """
-    tab = segment_cost_batch(model, x_start, tau, y_from, y_to)
+    tab = segment_cost_batch(model, x_start, tau, y_from, y_to, samples=samples)
     candidates = d[:, None] + tab.fixed_cost + length[:, None] * tab.prefix_slope
     best = np.argmin(candidates, axis=0)
     cols = np.arange(y_to.size)
     return best, candidates[best, cols], length[best] + tab.delta_len[best, cols]
+
+
+def _stage_samples(spec: ProblemSpec, delta, x_start, tau, y_from, y_to):
+    """The transition's fine-lattice samples, or None to price its arcs directly.
+
+    Sampling the fields once per stage pays only when the lattice has fewer
+    rows than the transition has arcs.  That rules out local's windows and
+    the endpoint singletons; the test reads the sorted stage ends only.
+    """
+    q = spec.model.quadrature_subdivisions
+    span = max(y_from[-1], y_to[-1]) - min(y_from[0], y_to[0])
+    if span / delta * q + 1 >= y_from.size * y_to.size:
+        return None
+    return sample_stage(spec.model, x_start, tau, spec.corridor[0], delta, y_from, y_to)
 
 
 def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None):
@@ -209,8 +232,10 @@ def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None):
     for i in range(grid.n):
         y_from = grid.stages[i]
         y_to = grid.stages[i + 1]
+        x_start, tau = grid.xs[i], grid.xs[i + 1] - grid.xs[i]
+        samples = _stage_samples(spec, grid.delta, x_start, tau, y_from, y_to)
         relax = functools.partial(
-            _relax, spec.model, grid.xs[i], grid.xs[i + 1] - grid.xs[i], y_from, d, length
+            _relax, spec.model, x_start, tau, y_from, d, length, samples=samples
         )
         width = max(1, _BLOCK_ARCS // y_from.size)
         if y_to.size <= width:
@@ -237,7 +262,8 @@ def solve(grid: StageGrid, spec: ProblemSpec, threads: int = 1) -> Trajectory:
     (``threads`` > 1); results are independent of the thread count and of
     the block split, bit for bit.  The returned trajectory's cost is the
     terminal label, which by construction of the prefix threading equals
-    the polyline's path cost.
+    the polyline's path cost (to rounding where arcs gather their samples
+    from a stage lattice).
     """
     t0 = time.perf_counter()
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()

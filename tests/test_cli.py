@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from terracost import CostMode, CostModel, build_grid, dp, field_from_expression, path_cost
+from terracost import CostMode, CostModel, build_grid, cli, dp, field_from_expression, path_cost
 from terracost.cli import ConfigError, load_config, main, realize
 
 from conftest import RELIEF_PHI, RIDGE_ALPHA, RIDGE_BETA
@@ -402,6 +402,28 @@ def test_ritz_method_via_cli(tmp_path):
     assert report["objective_evaluations"] >= 1
     data = read_csv_knots(out / "traj.csv")
     assert data.shape[0] == 128
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        pytest.param({"method": "dp", "tau": 0.25, "epsilon": 0.5}, id="dp"),
+        pytest.param({"method": "ritz", "K": 2, "M": 64, "budget": 200}, id="ritz"),
+    ],
+)
+def test_output_polyline_is_priced_once(tmp_path, monkeypatch, solver):
+    # The profile that gives the ritz J also fills the cumulative columns.
+    calls = []
+    profile = cli.path_cost_profile
+    monkeypatch.setattr(
+        cli, "path_cost_profile", lambda *args: calls.append(args) or profile(*args)
+    )
+    config = write_config(tmp_path, solver=solver)
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 1
+    data = read_csv_knots(tmp_path / "run" / "traj.csv")
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert data[-1, 4] == report["J"]
 
 
 def test_epsilon_zero_warning_lands_in_report_and_stderr(tmp_path, capsys):

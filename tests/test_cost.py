@@ -26,6 +26,7 @@ from terracost import (
     smooth_mesh,
     smooth_path_cost,
 )
+from terracost.cost import sample_stage
 from terracost.ritz import RitzCandidate, candidate_eval
 
 from conftest import (
@@ -216,12 +217,16 @@ def test_segment_preconditions():
     [("-1", "1", "alpha"), ("0", "x-0.5", "beta"), ("0.1", "1-2*y", "beta")],
 )
 def test_negative_rate_is_refused(alpha, beta, name):
-    # Both pricing paths refuse a rate that is negative at any sample and
-    # name the field and a sample point where it is negative.
+    # Every pricing path (direct, gathered from the stage lattice, polyline)
+    # refuses a rate that is negative at any sample and names the field and
+    # a sample point where it is negative.
     model = flat_model(alpha=alpha, beta=beta)
     rate = model.alpha if name == "alpha" else model.beta
+    y_from, y_to = [0.0, 0.5], [0.25, 0.75]
+    samples = sample_stage(model, 0.0, 0.25, 0.0, 0.25, y_from, y_to)
     calls = (
-        lambda: segment_cost_batch(model, 0.0, 0.25, [0.0, 0.5], [0.25, 0.75]),
+        lambda: segment_cost_batch(model, 0.0, 0.25, y_from, y_to),
+        lambda: segment_cost_batch(model, 0.0, 0.25, y_from, y_to, samples=samples),
         lambda: path_cost(model, [0.0, 0.5, 1.0], [0.0, 0.75, 1.0]),
     )
     for call in calls:
@@ -229,6 +234,57 @@ def test_negative_rate_is_refused(alpha, beta, name):
             call()
         point = re.search(r"at \(x, y\) = \((.+), (.+)\)$", str(err.value))
         assert rate.value(float(point[1]), float(point[2])) < 0
+
+
+# ---------------------------------------------------------------------------
+# stage samples on the fine lattice
+
+
+def assert_tableaux_close(a, b, rel):
+    for got, want in zip(a, b):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
+)
+def test_gathered_tableau_equals_direct_pricing(make_spec):
+    # Whole 65-node stages, and blocks whose ordinates start off the lowest
+    # lattice row, price the same from the stage lattice as directly.
+    model = make_spec().model
+    delta, tau, x0 = 1 / 64, 1 / 16, 0.3125
+    stage = delta * np.arange(65)
+    for y_from, y_to in ((stage, stage), (stage[5:40], stage[20:])):
+        samples = sample_stage(model, x0, tau, 0.0, delta, y_from, y_to)
+        assert samples.fields.alpha.shape == ((y_to[-1] - y_from[0]) / delta * 16 + 1, 17)
+        direct = segment_cost_batch(model, x0, tau, y_from, y_to)
+        for block in (y_to, y_to[7:19]):
+            gathered = segment_cost_batch(model, x0, tau, y_from, block, samples=samples)
+            reference = segment_cost_batch(model, x0, tau, y_from, block)
+            assert_tableaux_close(gathered, reference, 1e-13)
+        assert_tableaux_close(
+            segment_cost_batch(model, x0, tau, y_from, y_to, samples=samples), direct, 1e-13
+        )
+
+
+def test_rates_are_checked_where_arcs_sample_them():
+    # alpha = x + 0.5 - y is negative at (0, 1), a lattice point that the
+    # one arc (0, 0) -> (1, 1) never samples: only the arcs' points count.
+    model = flat_model(alpha="x+0.5-y")
+    samples = sample_stage(model, 0.0, 1.0, 0.0, 0.5, [0.0], [1.0])
+    assert samples.fields.alpha.min() < 0
+    gathered = segment_cost_batch(model, 0.0, 1.0, [0.0], [1.0], samples=samples)
+    assert_tableaux_close(gathered, segment_cost_batch(model, 0.0, 1.0, [0.0], [1.0]), 1e-13)
+
+
+def test_off_lattice_ordinates_are_not_sampled():
+    # On the lattice -0.37 + k/64, neither 0 nor 1 is an ordinate.
+    model = make_ridge2d_spec().model
+    stage = -0.37 + np.arange(101) / 64
+    assert sample_stage(model, 0.0, 1 / 16, -0.37, 1 / 64, stage, stage) is not None
+    assert sample_stage(model, 0.0, 1 / 16, -0.37, 1 / 64, [0.0], stage) is None
+    assert sample_stage(model, 0.0, 1 / 16, -0.37, 1 / 64, stage, [1.0]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from terracost import (
     CostMode,
     CostModel,
     Heightmap,
+    NegativeRateError,
     ProblemSpec,
     build_grid,
     default_corridor,
@@ -24,6 +27,8 @@ from terracost import (
     solve,
     solve_refined,
 )
+
+from terracost.cost import sample_stage
 
 from conftest import make_flat_spec, make_relief3d_spec, make_ridge2d_spec
 
@@ -249,6 +254,86 @@ def test_non_finite_cost_stops_the_sweep():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"stage 1 \(x = 0\.25\)"):
             solve(grid, spec)
+
+
+# ---------------------------------------------------------------------------
+# stage samples on the fine lattice
+
+
+def count_stage_samples(monkeypatch):
+    """Count the transitions whose fields dp samples on the fine lattice."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sample_stage(*args)
+
+    monkeypatch.setattr(dp, "sample_stage", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "corridor", [(0.0, 1.0), (-0.37, 1.2)], ids=["on-lattice", "off-lattice"]
+)
+def test_gathered_sweep_prices_its_own_polyline(monkeypatch, corridor):
+    # Interior transitions gather their samples from the stage lattice; on
+    # the lattice -0.37 + k/64 neither endpoint is an ordinate, so their
+    # transitions are priced directly.  Either way the terminal label is
+    # the polyline's own path cost, up to the rounding of the samples'
+    # ordinates.
+    calls = count_stage_samples(monkeypatch)
+    spec = dataclasses.replace(make_ridge2d_spec(), corridor=corridor)
+    grid = build_grid(spec, 1 / 16, 1 / 64)
+    traj = solve(grid, spec)
+    assert len(calls) == grid.n - 2
+    assert traj.cost == pytest.approx(path_cost(spec.model, traj.xs, traj.ys), rel=1e-12, abs=0)
+
+
+def test_negative_rate_on_interior_arcs_is_refused():
+    # alpha dips below zero in a small patch around (0.5, 0.5), which only
+    # the gathered interior transitions sample.
+    spec = make_ridge2d_spec()
+    model = dataclasses.replace(
+        spec.model, alpha=field_from_expression("1-2*exp(-400*((x-0.5)^2+(y-0.5)^2))")
+    )
+    spec = dataclasses.replace(spec, model=model)
+    with pytest.raises(NegativeRateError, match="rate field 'alpha'") as err:
+        solve(build_grid(spec, 1 / 16, 1 / 64), spec)
+    point = re.search(r"at \(x, y\) = \((.+), (.+)\)$", str(err.value))
+    x, y = float(point[1]), float(point[2])
+    assert 1 / 16 < x < 15 / 16
+    assert model.alpha.value(x, y) < 0
+
+
+class CountingField:
+    """A field that counts the points it is evaluated at."""
+
+    def __init__(self, field):
+        self.field = field
+        self.points = 0
+
+    def value(self, x, y):
+        self.points += np.broadcast(x, y).size
+        return self.field.value(x, y)
+
+    def value_and_partials(self, x, y):
+        self.points += np.broadcast(x, y).size
+        return self.field.value_and_partials(x, y)
+
+
+def test_stage_fields_are_sampled_once_on_the_lattice():
+    # Three stages apart: one transition between two full 65-node stages
+    # and the two endpoint fans of 65 arcs.  The 65^2 interior arcs sample
+    # alpha at the (q + 1) * (64q + 1) lattice points, not at 65^2 * (q + 1);
+    # the fans are priced directly.
+    spec = make_ridge2d_spec()
+    alpha = CountingField(spec.model.alpha)
+    spec = dataclasses.replace(spec, model=dataclasses.replace(spec.model, alpha=alpha))
+    grid = build_grid(spec, 1 / 3, 1 / 64)
+    assert [stage.size for stage in grid.stages] == [1, 65, 65, 1]
+    solve(grid, spec)
+    q = spec.model.quadrature_subdivisions
+    assert alpha.points == (q + 1) * (64 * q + 1) + 2 * 65 * (q + 1)
 
 
 def test_ridge_benchmark_value():

@@ -13,7 +13,7 @@ from terracost import (
     localsearch,
 )
 
-from conftest import make_flat_spec, make_ridge2d_spec
+from conftest import make_flat_spec, make_relief3d_spec, make_ridge2d_spec
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -155,6 +155,23 @@ def test_per_iteration_work_bound(local_cached):
     assert len(per_iter) == traj.diagnostics.iterations
     grid_n = traj.xs.size - 1
     assert all(e <= 9 * grid_n for e in per_iter)  # (2m+1)^2 * n with m = 1
+
+
+def test_windows_are_priced_directly(monkeypatch):
+    # A window transition holds at most (2m+1)^2 arcs, fewer than the rows
+    # of its fine lattice, so local never samples a stage lattice; the
+    # global sweep of the same grid samples every interior transition's.
+    spec = make_relief3d_spec()
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    calls = []
+    sample_stage = dp.sample_stage
+    monkeypatch.setattr(
+        dp, "sample_stage", lambda *args: calls.append(args) or sample_stage(*args)
+    )
+    localsearch.run(spec, grid, m=1)
+    assert calls == []
+    dp.solve(grid, spec)
+    assert len(calls) == grid.n - 2
 
 
 def test_max_iter_flagged_not_raised():
