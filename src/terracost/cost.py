@@ -26,7 +26,7 @@ length, and leaves the ``len_start`` threading to its three callers:
 * :func:`smooth_path_cost`   - the mesh cells of a smooth candidate curve,
   sampled on a :func:`smooth_mesh`.
 
-The kernel reads field values, not fields.  They are sampled in one of two
+The kernel reads field values, not fields.  They are sampled in one of three
 ways, and this module is the only one that samples fields:
 
 * directly, at every sample of every piece (:func:`_tableau`);
@@ -36,6 +36,10 @@ ways, and this module is the only one that samples fields:
   y_lo + r*delta/q, x_start + j*tau/q; :func:`segment_cost_batch` gathers
   each arc's samples from there by index.  Only exact lattice ordinates
   gather; an off-lattice start or terminal ordinate is priced directly.
+* at the arcs' own samples, for several transitions in one call
+  (:func:`sample_arcs`); :func:`segment_cost_batch` reads each
+  transition's share as sampled.  These are the direct points, so the
+  values are the direct ones.
 
 A negative rate is refused at the samples some piece reads, either way.
 
@@ -55,6 +59,7 @@ import numpy as np
 from .terrain import ScalarField2D
 
 __all__ = [
+    "ArcSamples",
     "CostMode",
     "CostModel",
     "NegativeRateError",
@@ -62,6 +67,7 @@ __all__ = [
     "StageSamples",
     "path_cost",
     "path_cost_profile",
+    "sample_arcs",
     "sample_stage",
     "segment_cost_batch",
     "smooth_mesh",
@@ -178,22 +184,80 @@ def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
     return SegmentTableau(fixed, slope, prefix[..., -1])
 
 
+class ArcSamples(NamedTuple):
+    """The fields sampled at a batch's own quadrature points.
+
+    ``ys`` holds the sample ordinates in the batch's full sample shape,
+    ``xs`` the abscissae (broadcasting against ``ys``) and ``fields`` the
+    field values there.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    fields: _Samples
+
+
+def _priced(samples: ArcSamples, yp, h) -> SegmentTableau:
+    # Refuse a negative rate at any sample of the batch, then integrate.
+    xs, ys = samples.xs, samples.ys
+    _check_rates(samples.fields, ys.shape, lambda k: (np.broadcast_to(xs, ys.shape)[k], ys[k]))
+    return _integrate(samples.fields, yp, h, ys.shape)
+
+
 def _tableau(model: CostModel, xs, ys, yp, h) -> SegmentTableau:
     # Sample the fields at the points (xs, ys) and integrate; ys has the
     # full sample shape.
-    samples = _sample(model, xs, ys)
-    _check_rates(samples, ys.shape, lambda k: (np.broadcast_to(xs, ys.shape)[k], ys[k]))
-    return _integrate(samples, yp, h, ys.shape)
+    return _priced(ArcSamples(xs, ys, _sample(model, xs, ys)), yp, h)
+
+
+def _linear_points(q: int, x_start, tau, y_from, y_to):
+    # Sample points of the straight segments (x_start, y_from) ->
+    # (x_start + tau, y_to); the arguments broadcast against each other with
+    # a trailing sample axis.
+    ts = np.arange(q + 1) / q
+    return x_start + tau * ts, y_from + (y_to - y_from) * ts
 
 
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to) -> SegmentTableau:
-    # Straight segments (x_start, y_from) -> (x_start + tau, y_to); the
-    # arguments broadcast against each other with a trailing sample axis.
     q = model.quadrature_subdivisions
-    ts = np.arange(q + 1) / q
-    xs = x_start + tau * ts
-    ys = y_from + (y_to - y_from) * ts
+    xs, ys = _linear_points(q, x_start, tau, y_from, y_to)
     return _tableau(model, xs, ys, (y_to - y_from) / tau, tau / q)
+
+
+def _arc_axes(y_from, y_to):
+    # From-ordinates along axis 0, to-ordinates along axis 1, samples last.
+    return (
+        np.asarray(y_from, dtype=float)[:, None, None],
+        np.asarray(y_to, dtype=float)[None, :, None],
+    )
+
+
+def sample_arcs(model: CostModel, transitions) -> list[ArcSamples]:
+    """Sample the fields at the arcs of several stage transitions in one call.
+
+    ``transitions`` holds one (x_start, tau, y_from, y_to) per transition.
+    Each gets the :class:`ArcSamples` of its (len(y_from), len(y_to), q + 1)
+    arc samples: the points :func:`segment_cost_batch` samples without
+    ``samples``, so a field evaluated pointwise gives the same values.
+    Rates are checked when the arcs are priced, not here.
+    """
+    q = model.quadrature_subdivisions
+    points = [
+        _linear_points(q, x_start, tau, *_arc_axes(y_from, y_to))
+        for x_start, tau, y_from, y_to in transitions
+    ]
+    xs = np.concatenate([np.broadcast_to(x, y.shape) for x, y in points], axis=None)
+    ys = np.concatenate([y for _, y in points], axis=None)
+    fields = _sample(model, xs, ys)
+    out = []
+    start = 0
+    for x, y in points:
+        stop = start + y.size
+        # A constant field may come back as a scalar; every transition shares it.
+        values = (v if np.ndim(v) == 0 else v[start:stop].reshape(y.shape) for v in fields)
+        out.append(ArcSamples(x, y, _Samples(*values)))
+        start = stop
+    return out
 
 
 class StageSamples(NamedTuple):
@@ -252,23 +316,26 @@ def segment_cost_batch(
     y_from,
     y_to,
     *,
-    samples: StageSamples | None = None,
+    samples: StageSamples | ArcSamples | None = None,
 ) -> SegmentTableau:
     """Evaluate all from x to pairs of one stage transition in one call.
 
     Returns arrays of shape (len(y_from), len(y_to)).  Each pair is the
     linear segment from (x_start, y_from[k]) to (x_start + tau, y_to[s]).
-    With ``samples``, the :func:`sample_stage` of this transition, the
-    pairs' field values are gathered from the stage lattice instead of
-    evaluated; the integration is the same.
+    Without ``samples`` the fields are evaluated at the pairs' samples.
+    With the :func:`sample_stage` of this transition they are gathered from
+    the stage lattice; with this transition's :func:`sample_arcs` entry
+    they are read as sampled.  The rate check and the integration are the
+    same either way.
     """
     if tau <= 0:
         raise ValueError(f"segment width must be positive, got {tau}")
-    yf = np.asarray(y_from, dtype=float)[:, None, None]
-    yt = np.asarray(y_to, dtype=float)[None, :, None]
+    yf, yt = _arc_axes(y_from, y_to)
+    q = model.quadrature_subdivisions
     if samples is None:
         return _linear_tableau(model, x_start, tau, yf, yt)
-    q = model.quadrature_subdivisions
+    if isinstance(samples, ArcSamples):
+        return _priced(samples, (yt - yf) / tau, tau / q)
     j = np.arange(q + 1)
     kf, kt = (
         np.rint((y - samples.y_lo) / samples.delta).astype(np.intp) - samples.k_lo

@@ -7,6 +7,10 @@ Two benchmark problems recur throughout:
 * relief3d - full 3-D mode over the relief sin(5x)sin(y) with constant
   rates alpha = 0.1, beta = 0.5.
 
+A third, smaller problem, :func:`make_masked_heightmap_spec`, puts a
+heightmap hill and a circular obstacle on the chord, so that local's
+windows are ragged.
+
 Both connect (0, 0) to (1, 1) inside the corridor [0, 1].  Expensive solver
 runs are memoized session-wide so acceptance and unit tests can share them.
 """
@@ -19,10 +23,12 @@ import pytest
 from terracost import (
     CostMode,
     CostModel,
+    Heightmap,
     ProblemSpec,
     build_grid,
     dp,
     field_from_expression,
+    field_from_heightmap,
     localsearch,
     ritz,
 )
@@ -62,6 +68,25 @@ def make_relief3d_spec(q: int = 16) -> ProblemSpec:
         quadrature_subdivisions=q,
     )
     return ProblemSpec(l=1.0, y_l=1.0, corridor=(0.0, 1.0), model=model)
+
+
+def make_masked_heightmap_spec(q: int = 16) -> ProblemSpec:
+    """Full 3-D over a 17x17 heightmap hill, with an obstacle on the chord.
+
+    The obstacle (radius 0.1 around (0.5, 0.5)) removes ordinates from the
+    stages it covers, so windows near it hold fewer than 2m + 1 nodes.
+    """
+    g = np.linspace(0.0, 1.0, 17)
+    z = 0.2 * np.exp(-((g[None, :] - 0.6) ** 2 + (g[:, None] - 0.4) ** 2) / 0.045)
+    model = CostModel(
+        alpha=field_from_expression("0.1"),
+        beta=field_from_expression("0.5"),
+        phi=field_from_heightmap(Heightmap(0.0, 0.0, g[1], g[1], z)),
+        mode=CostMode.FULL_3D,
+        quadrature_subdivisions=q,
+    )
+    mask = field_from_expression("0.01-(x-0.5)^2-(y-0.5)^2")
+    return ProblemSpec(l=1.0, y_l=1.0, corridor=(0.0, 1.0), model=model, mask=mask)
 
 
 def make_flat_spec(alpha: str = "0", beta: str = "1") -> ProblemSpec:

@@ -20,6 +20,7 @@ from terracost import (
     dp,
     field_from_expression,
     field_from_heightmap,
+    localsearch,
     path_cost,
     path_cost_profile,
     refinement_schedule,
@@ -30,7 +31,12 @@ from terracost import (
 
 from terracost.cost import sample_stage
 
-from conftest import make_flat_spec, make_relief3d_spec, make_ridge2d_spec
+from conftest import (
+    make_flat_spec,
+    make_masked_heightmap_spec,
+    make_relief3d_spec,
+    make_ridge2d_spec,
+)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -334,6 +340,72 @@ def test_stage_fields_are_sampled_once_on_the_lattice():
     solve(grid, spec)
     q = spec.model.quadrature_subdivisions
     assert alpha.points == (q + 1) * (64 * q + 1) + 2 * 65 * (q + 1)
+
+
+# ---------------------------------------------------------------------------
+# the segment_cost_batch calls of a sweep
+
+
+def record_sweeps(monkeypatch):
+    """Record every grid dp.solve sweeps and every segment_cost_batch call."""
+    grids, calls = [], []
+    batch, solve_grid = dp.segment_cost_batch, dp.solve
+
+    def recorded_batch(*args, **kwargs):
+        calls.append(args)
+        return batch(*args, **kwargs)
+
+    def recorded_solve(grid, spec, threads=1):
+        grids.append(grid)
+        return solve_grid(grid, spec, threads)
+
+    monkeypatch.setattr(dp, "segment_cost_batch", recorded_batch)
+    monkeypatch.setattr(dp, "solve", recorded_solve)
+    return grids, calls
+
+
+def assert_calls_are_transitions(grids, calls):
+    # In sweep order, each transition's calls take the model, x_start, tau,
+    # y_from, y_to positionally; y_from is the whole from-stage and the
+    # calls' y_to concatenate to the whole to-stage: real ordinates only.
+    calls = iter(calls)
+    for grid in grids:
+        for i in range(grid.n):
+            blocks = []
+            while sum(block.size for block in blocks) < grid.stages[i + 1].size:
+                _, x_start, tau, y_from, y_to = next(calls)
+                assert x_start == grid.xs[i] and tau == grid.xs[i + 1] - grid.xs[i]
+                assert np.array_equal(y_from, grid.stages[i])
+                blocks.append(y_to)
+            assert np.array_equal(np.concatenate(blocks), grid.stages[i + 1])
+    assert next(calls, None) is None
+
+
+def test_batch_calls_price_whole_transitions(monkeypatch):
+    # The benchmark counts a sweep's arcs as size(y_from) * size(y_to) over
+    # its segment_cost_batch calls and checks the sum against the solver's
+    # segment_cost_evaluations, so every call prices one transition's own
+    # ordinates, however the fields were sampled.
+    grids, calls = record_sweeps(monkeypatch)
+    spec = make_ridge2d_spec()
+    traj = dp.solve(build_grid(spec, 1 / 16, (1 / 16) ** 1.5), spec)
+    assert_calls_are_transitions(grids, calls)
+    arcs = sum(np.size(args[3]) * np.size(args[4]) for args in calls)
+    assert arcs == traj.diagnostics.segment_cost_evaluations
+
+
+def test_window_batch_calls_price_whole_transitions(monkeypatch):
+    # Same contract for local's window grids, made ragged by the obstacle;
+    # local's count also holds the n arcs of pricing the snapped chord.
+    grids, calls = record_sweeps(monkeypatch)
+    spec = make_masked_heightmap_spec()
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    traj = localsearch.run(spec, grid, m=1)
+    assert len(grids) == traj.diagnostics.iterations
+    assert any(0 < stage.size < 3 for window in grids for stage in window.stages[1:-1])
+    assert_calls_are_transitions(grids, calls)
+    arcs = sum(np.size(args[3]) * np.size(args[4]) for args in calls)
+    assert arcs == traj.diagnostics.segment_cost_evaluations - grid.n
 
 
 def test_ridge_benchmark_value():

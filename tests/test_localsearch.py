@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from terracost import (
+    NegativeRateError,
     ProblemSpec,
     build_grid,
     dp,
@@ -13,7 +17,12 @@ from terracost import (
     localsearch,
 )
 
-from conftest import make_flat_spec, make_relief3d_spec, make_ridge2d_spec
+from conftest import (
+    make_flat_spec,
+    make_masked_heightmap_spec,
+    make_relief3d_spec,
+    make_ridge2d_spec,
+)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -172,6 +181,129 @@ def test_windows_are_priced_directly(monkeypatch):
     assert calls == []
     dp.solve(grid, spec)
     assert len(calls) == grid.n - 2
+
+
+def make_level_relief_spec():
+    # Full 3-D over a constant relief, whose partials come back as scalars.
+    spec = make_relief3d_spec()
+    model = dataclasses.replace(spec.model, phi=field_from_expression("0.3"))
+    return dataclasses.replace(spec, model=model)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [make_ridge2d_spec, make_masked_heightmap_spec, make_level_relief_spec],
+    ids=["ridge2d", "masked-heightmap", "level-relief"],
+)
+@pytest.mark.parametrize("block_arcs", [1, 7, None], ids=["block1", "block7", "default"])
+def test_run_is_bit_identical_for_any_block_size(monkeypatch, make_spec, block_arcs):
+    # With blocks of one arc no window transition joins a run, so each
+    # samples its own arcs per to-node; blocks of 7 arcs split the 3x3
+    # windows but group the fans and the obstacle's ragged windows; the
+    # default groups whole window grids.
+    spec = make_spec()
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    reference = localsearch.run(spec, grid, m=1)
+    if block_arcs is not None:
+        monkeypatch.setattr(dp, "_BLOCK_ARCS", block_arcs)
+    traj = localsearch.run(spec, grid, m=1)
+    assert traj.cost == reference.cost
+    assert np.array_equal(traj.ys, reference.ys)
+    assert (
+        traj.diagnostics.segment_cost_evaluations
+        == reference.diagnostics.segment_cost_evaluations
+    )
+    assert traj.diagnostics.iterations == reference.diagnostics.iterations
+
+
+class CallCountingField:
+    """A field that counts its evaluation calls."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+
+    def value(self, x, y):
+        self.calls += 1
+        return self.field.value(x, y)
+
+    def value_and_partials(self, x, y):
+        self.calls += 1
+        return self.field.value_and_partials(x, y)
+
+
+def test_window_grid_samples_its_fields_once():
+    # A 16-stage window grid holds at most 3 + 14 * 9 + 3 arcs, one run:
+    # each field is evaluated once per step, not once per transition.
+    spec = make_relief3d_spec()
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    incumbent = localsearch.initial_incumbent(grid, spec)
+    fields = {
+        name: CallCountingField(getattr(spec.model, name)) for name in ("alpha", "beta", "phi")
+    }
+    spec = dataclasses.replace(spec, model=dataclasses.replace(spec.model, **fields))
+    localsearch.step(incumbent, 1, grid, spec)
+    assert [field.calls for field in fields.values()] == [1, 1, 1]
+
+
+def step_error(monkeypatch, fields, block_arcs=None):
+    """The error of one m = 1 step from the chord with the given rate fields."""
+    spec = make_relief3d_spec()
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    incumbent = localsearch.initial_incumbent(grid, spec)
+    fields = {name: field_from_expression(text) for name, text in fields.items()}
+    spec = dataclasses.replace(spec, model=dataclasses.replace(spec.model, **fields))
+    with monkeypatch.context() as patch:
+        if block_arcs is not None:
+            patch.setattr(dp, "_BLOCK_ARCS", block_arcs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as err:
+                localsearch.step(incumbent, 1, grid, spec)
+    return err.value
+
+
+# alpha turns negative past x ~ 0.834, inside the transition from stage 13
+# to 14; beta is inf - inf past x ~ 0.919, inside the one from 14 to 15; the
+# sqrt in beta raises past x = 0.95, inside the last transition.
+LATE_NEGATIVE_ALPHA = "0.1-exp(400*(x-0.84))"
+LATE_NAN_BETA = "exp(9000*(x-0.84))-exp(9000*(x-0.84))"
+LATE_RAISING_BETA = "0.5+sqrt(0.95-x)"
+
+
+@pytest.mark.parametrize(
+    "fields, error, match",
+    [
+        ({"alpha": LATE_NEGATIVE_ALPHA}, NegativeRateError, r"'alpha' is negative .* = \(0\.8"),
+        ({"beta": LATE_NAN_BETA}, ValueError, r"non-finite cost-to-come at stage 15 "),
+        (
+            {"alpha": LATE_NEGATIVE_ALPHA, "beta": LATE_RAISING_BETA},
+            NegativeRateError,
+            r"'alpha' is negative .* = \(0\.8",
+        ),
+    ],
+    ids=["negative-alpha", "nan-beta", "negative-alpha-then-raising-beta"],
+)
+def test_window_errors_name_their_stage(monkeypatch, fields, error, match):
+    # The run samples every window's fields at once, but each transition
+    # still checks its own rates and labels in stage order, so the error is
+    # the one a sweep sampling transition by transition raises.
+    grouped = step_error(monkeypatch, fields)
+    alone = step_error(monkeypatch, fields, block_arcs=1)
+    assert type(grouped) is error and re.search(match, str(grouped))
+    assert type(alone) is type(grouped) and str(alone) == str(grouped)
+
+
+def test_window_rates_are_checked_at_window_arcs_only():
+    # alpha is negative only far above the chord, where the full grid's arcs
+    # reach but no window arc does.
+    reference = make_relief3d_spec()
+    alpha = field_from_expression("0.1-exp(400*(y-x-0.4))")
+    spec = dataclasses.replace(reference, model=dataclasses.replace(reference.model, alpha=alpha))
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    with pytest.raises(NegativeRateError):
+        dp.solve(grid, spec)
+    traj = localsearch.run(spec, grid, m=1)
+    assert traj.cost == pytest.approx(localsearch.run(reference, grid, m=1).cost, rel=1e-9)
 
 
 def test_max_iter_flagged_not_raised():
