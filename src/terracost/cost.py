@@ -26,16 +26,23 @@ length, and leaves the ``len_start`` threading to its three callers:
 * :func:`smooth_path_cost`   - the mesh cells of a smooth candidate curve,
   sampled on a :func:`smooth_mesh`.
 
+Every batch of samples is laid out with the sample axis first: shape
+(q + 1, ...), where row j holds sample j of every piece.  Each step of the
+kernel is then one numpy operation over whole rows of pieces rather than a
+(q + 1)-long loop per piece, and its sums over samples run strictly in
+index order, so a piece gets the same bits in a batch of any shape.
+
 The kernel reads field values, not fields.  They are sampled in one of three
 ways, and this module is the only one that samples fields:
 
 * directly, at every sample of every piece (:func:`_tableau`);
 * once per stage transition on its fine lattice (:func:`sample_stage`).
   A stage ordinate is y_lo + k*delta, so sample j of the arc from ordinate
-  k to ordinate s lies at row k*(q - j) + s*j of the lattice
-  y_lo + r*delta/q, x_start + j*tau/q; :func:`segment_cost_batch` gathers
-  each arc's samples from there by index.  Only exact lattice ordinates
-  gather; an off-lattice start or terminal ordinate is priced directly.
+  k to ordinate s lies at entry (j, k*(q - j) + s*j) of the (q + 1, m)
+  lattice (x_start + j*tau/q, y_lo + r*delta/q), one row per sample
+  abscissa; :func:`segment_cost_batch` gathers each arc's samples from
+  there by index.  Only exact lattice ordinates gather; an off-lattice
+  start or terminal ordinate is priced directly.
 * at the arcs' own samples, for several transitions in one call
   (:func:`sample_arcs`); :func:`segment_cost_batch` reads each
   transition's share as sampled.  These are the direct points, so the
@@ -120,10 +127,27 @@ class SegmentTableau(NamedTuple):
     delta_len: np.ndarray
 
 
+# Rows at least this wide are summed by in-place row adds, narrower ones by
+# one accumulate (cumsum), which costs less per call but runs a strided loop
+# per column.
+_WIDE_ROW = 512
+
+
+def _running_sum(rows: np.ndarray) -> np.ndarray:
+    # Running sums along axis 0, in place and strictly in index order, so a
+    # piece's sums have the same bits whatever the trailing shape of its
+    # batch (ndarray.sum(axis=0) goes pairwise when that shape is (1,)).
+    if rows[0].size < _WIDE_ROW:
+        return np.add.accumulate(rows, axis=0, out=rows)
+    for j in range(1, len(rows)):
+        np.add(rows[j - 1], rows[j], out=rows[j])
+    return rows
+
+
 def _trapz(g: np.ndarray, h) -> np.ndarray:
-    # Composite trapezoid along the last axis; h broadcasts against g.
-    ends = 0.5 * (g[..., :1] + g[..., -1:])
-    return (h * (ends + g[..., 1:-1].sum(axis=-1, keepdims=True)))[..., 0]
+    # Composite trapezoid along axis 0, overwriting g; h broadcasts against a row.
+    interior = _running_sum(g[1:-1])[-1]
+    return h * (0.5 * (g[0] + g[-1]) + interior)
 
 
 class _Samples(NamedTuple):
@@ -158,38 +182,47 @@ def _check_rates(samples: _Samples, shape, point) -> None:
             )
 
 
-def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
+def _integrate(samples: _Samples, yp, h, shape, overwrite=False) -> SegmentTableau:
     """The quadrature kernel: integrate one batch of pieces from its samples.
 
-    The batch has the sample ``shape``, whose last axis holds q+1 quadrature
-    points per piece; the field ``samples``, the path slope ``yp`` at them and
-    the sample spacing ``h`` of each piece broadcast against it.
+    The batch has the sample ``shape`` (q + 1, ...): row j holds sample j of
+    every piece, so each step is one operation over whole rows.  The field
+    ``samples``, the path slope ``yp`` at them and the sample spacing ``h``
+    of each piece broadcast against it.  Sums over samples run in index
+    order.  With ``overwrite`` the field samples are the batch's own
+    full-shape arrays and are used as work space.
     """
     if samples.phi_x is None:
-        phi_arc = np.sqrt(1.0 + yp * yp)
+        phi_arc = np.broadcast_to(np.sqrt(1.0 + yp * yp), shape)
     else:
-        zp = samples.phi_x + samples.phi_y * yp
-        phi_arc = np.sqrt(1.0 + yp * yp + zp * zp)
-    phi_arc = np.broadcast_to(phi_arc, shape)
+        zp = np.broadcast_to(samples.phi_y, shape)
+        zp = np.multiply(zp, yp, out=samples.phi_y if overwrite else None)
+        zp += samples.phi_x
+        zp *= zp
+        zp += 1.0 + yp * yp
+        phi_arc = np.sqrt(zp, out=zp)
 
     # Within-piece arc-length prefix (trapezoid prefix sums).
-    panel = 0.5 * h * (phi_arc[..., :-1] + phi_arc[..., 1:])
-    prefix = np.concatenate(
-        [np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)], axis=-1
-    )
+    prefix = np.empty(shape)
+    prefix[0] = 0.0
+    np.add(phi_arc[:-1], phi_arc[1:], out=prefix[1:])
+    prefix[1:] *= 0.5 * h
+    _running_sum(prefix[1:])
+    delta_len = prefix[-1].copy()
 
-    delivery = samples.alpha * phi_arc
-    fixed = _trapz(delivery * prefix, h) + _trapz(samples.beta * phi_arc, h)
+    delivery = np.multiply(samples.alpha, phi_arc, out=samples.alpha if overwrite else None)
+    build = np.multiply(samples.beta, phi_arc, out=samples.beta if overwrite else None)
+    prefix *= delivery
     slope = _trapz(delivery, h)
-    return SegmentTableau(fixed, slope, prefix[..., -1])
+    return SegmentTableau(_trapz(prefix, h) + _trapz(build, h), slope, delta_len)
 
 
 class ArcSamples(NamedTuple):
     """The fields sampled at a batch's own quadrature points.
 
-    ``ys`` holds the sample ordinates in the batch's full sample shape,
-    ``xs`` the abscissae (broadcasting against ``ys``) and ``fields`` the
-    field values there.
+    ``ys`` holds the sample ordinates in the batch's full sample shape
+    (q + 1, ...), sample axis first; ``xs`` holds the abscissae
+    (broadcasting against ``ys``) and ``fields`` the field values there.
     """
 
     xs: np.ndarray
@@ -212,10 +245,11 @@ def _tableau(model: CostModel, xs, ys, yp, h) -> SegmentTableau:
 
 def _linear_points(q: int, x_start, tau, y_from, y_to):
     # Sample points of the straight segments (x_start, y_from) ->
-    # (x_start + tau, y_to); the arguments broadcast against each other with
-    # a trailing sample axis.
-    ts = np.arange(q + 1) / q
-    return x_start + tau * ts, y_from + (y_to - y_from) * ts
+    # (x_start + tau, y_to), with a new leading sample axis; the arguments
+    # broadcast against each other and x_start, tau against the ordinates.
+    rise = np.subtract(y_to, y_from)
+    ts = (np.arange(q + 1) / q).reshape((-1,) + (1,) * rise.ndim)
+    return x_start + tau * ts, y_from + rise * ts
 
 
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to) -> SegmentTableau:
@@ -225,20 +259,19 @@ def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to) -> SegmentTabl
 
 
 def _arc_axes(y_from, y_to):
-    # From-ordinates along axis 0, to-ordinates along axis 1, samples last.
-    return (
-        np.asarray(y_from, dtype=float)[:, None, None],
-        np.asarray(y_to, dtype=float)[None, :, None],
-    )
+    # From-ordinates along axis 0, to-ordinates along axis 1: the arcs of the
+    # (q + 1, len(y_from), len(y_to)) sample shape.
+    return np.asarray(y_from, dtype=float)[:, None], np.asarray(y_to, dtype=float)[None, :]
 
 
 def sample_arcs(model: CostModel, transitions) -> list[ArcSamples]:
     """Sample the fields at the arcs of several stage transitions in one call.
 
     ``transitions`` holds one (x_start, tau, y_from, y_to) per transition.
-    Each gets the :class:`ArcSamples` of its (len(y_from), len(y_to), q + 1)
-    arc samples: the points :func:`segment_cost_batch` samples without
-    ``samples``, so a field evaluated pointwise gives the same values.
+    Each gets the :class:`ArcSamples` of its (q + 1, len(y_from), len(y_to))
+    arc samples, sample axis first: the points :func:`segment_cost_batch`
+    samples without ``samples``, so a field evaluated pointwise gives the
+    same values.
     Rates are checked when the arcs are priced, not here.
     """
     q = model.quadrature_subdivisions
@@ -263,11 +296,12 @@ def sample_arcs(model: CostModel, transitions) -> list[ArcSamples]:
 class StageSamples(NamedTuple):
     """The fields sampled once on the fine lattice of one stage transition.
 
-    Column j lies at x_start + j*tau/q and row r at y_lo + delta*(r/q), for
-    rows r = k_lo*q ... k_hi*q.  The arc from lattice ordinate k to lattice
-    ordinate s samples row k*(q - j) + s*j at column j, so every arc of the
-    transition finds its samples here.  ``fields`` holds (rows, q + 1)
-    arrays.
+    ``fields`` holds (q + 1, m) arrays, sample axis first: entry (j, r) lies
+    at ``xs[j]`` = x_start + j*tau/q and ``ys[r]`` = y_lo + delta*(r'/q),
+    for the m fine ordinates r' = k_lo*q ... k_hi*q.  Sample j of the arc
+    from lattice ordinate k_lo + k to k_lo + s is entry
+    (j, k*(q - j) + s*j), at flat index j*m + k*(q - j) + s*j, so every arc
+    of the transition finds its samples here.
     """
 
     y_lo: float
@@ -301,8 +335,8 @@ def sample_stage(
     k_hi = int(max(k.max() for k in ks))
     xs = x_start + tau * (np.arange(q + 1) / q)
     ys = y_lo + delta * (np.arange(k_lo * q, k_hi * q + 1) / q)
-    shape = (ys.size, q + 1)
-    fields = _sample(model, xs, ys[:, None])
+    shape = (q + 1, ys.size)
+    fields = _sample(model, xs[:, None], ys)
     fields = _Samples(
         *(None if v is None else np.ascontiguousarray(np.broadcast_to(v, shape)) for v in fields)
     )
@@ -336,18 +370,19 @@ def segment_cost_batch(
         return _linear_tableau(model, x_start, tau, yf, yt)
     if isinstance(samples, ArcSamples):
         return _priced(samples, (yt - yf) / tau, tau / q)
-    j = np.arange(q + 1)
+    m = samples.ys.size
+    j = np.arange(q + 1)[:, None, None]
     kf, kt = (
         np.rint((y - samples.y_lo) / samples.delta).astype(np.intp) - samples.k_lo
         for y in (yf, yt)
     )
-    # Flat index of sample j of arc (k, s): row k*(q - j) + s*j, column j.
-    flat = (kf * ((q - j) * (q + 1)) + j) + kt * (j * (q + 1))
+    # Flat index of sample j of arc (k, s): entry (j, k*(q - j) + s*j).
+    flat = (j * m + kf * (q - j)) + kt * j
     gathered = _Samples(*(None if v is None else v.take(flat) for v in samples.fields))
     _check_rates(
-        gathered, flat.shape, lambda k: (samples.xs[k[-1]], samples.ys[flat[k] // (q + 1)])
+        gathered, flat.shape, lambda k: (samples.xs[k[0]], samples.ys[flat[k] - k[0] * m])
     )
-    return _integrate(gathered, (yt - yf) / tau, tau / q, flat.shape)
+    return _integrate(gathered, (yt - yf) / tau, tau / q, flat.shape, overwrite=True)
 
 
 def path_cost_profile(model: CostModel, xs, ys):
@@ -366,9 +401,7 @@ def path_cost_profile(model: CostModel, xs, ys):
         raise ValueError("polyline x-knots must be strictly increasing")
     if abs(xs[0]) > 1e-12:
         raise ValueError(f"polyline must start at x = 0, got {xs[0]}")
-    tab = _linear_tableau(
-        model, xs[:-1, None], np.diff(xs)[:, None], ys[:-1, None], ys[1:, None]
-    )
+    tab = _linear_tableau(model, xs[:-1], np.diff(xs), ys[:-1], ys[1:])
     cum_len = np.concatenate([[0.0], np.cumsum(tab.delta_len)])
     # cumsum is sequential: over 0, fixed_0, len_0*slope_0, fixed_1, ... its
     # even entries are the running totals in the sweep's association order.
@@ -390,8 +423,8 @@ def smooth_mesh(mesh_points: int, length: float, q: int):
     """Quadrature samples of a smooth curve's mesh on [0, length].
 
     The span is split into ``mesh_points`` - 1 cells of q + 1 samples each.
-    Returns (xs, h): the (cells, q + 1) sample abscissae and their spacing,
-    ready for :func:`smooth_path_cost`.
+    Returns (xs, h): the (q + 1, cells) sample abscissae, sample axis first,
+    and their spacing, ready for :func:`smooth_path_cost`.
     """
     if mesh_points < 64:
         raise ValueError(f"mesh_points must be >= 64, got {mesh_points}")
@@ -399,7 +432,7 @@ def smooth_mesh(mesh_points: int, length: float, q: int):
         raise ValueError(f"span length must be positive, got {length}")
     mesh = np.linspace(0.0, length, mesh_points)
     cell = length / (mesh_points - 1)
-    return mesh[:-1, None] + cell * (np.arange(q + 1) / q), cell / q
+    return mesh[:-1] + cell * (np.arange(q + 1) / q)[:, None], cell / q
 
 
 def smooth_path_cost(model: CostModel, xs, ys, yp, h) -> float:

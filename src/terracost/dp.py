@@ -24,15 +24,15 @@ are mapped over a thread pool).  A label that is not finite (singular or
 overflowing fields) stops the sweep with an error naming its stage, so it
 can never pick a path.
 
-A transition whose fine lattice has fewer rows than it has arcs (a full
-stage to a full stage) samples its fields once on that lattice, at
+A transition whose fine lattice has fewer ordinates than it has arcs (a
+full stage to a full stage) samples its fields once on that lattice, at
 (q + 1) * ((k_max - k_min) * q + 1) points, and every block gathers its
 arcs' samples from there (see :mod:`terracost.cost`), unless an ordinate
 lies off the lattice y_lo + k*delta.  Both ways give the same tableau up to
 the rounding of the sample ordinates.
 
-Local's windows and the endpoint fans have more rows than arcs and price
-their arcs directly.  Consecutive such transitions whose arcs together fit
+Local's windows and the endpoint fans have more fine ordinates than arcs
+and price their arcs directly.  Consecutive such transitions whose arcs together fit
 in one relaxation block form a run, and a run of two or more samples its
 fields at all its arcs' samples in one call (``sample_arcs``): a whole
 window grid of ``local`` evaluates each field once, not once per stage.
@@ -218,7 +218,7 @@ def _transition(grid: StageGrid, i: int):
 
 
 def _gathers(q: int, delta, y_from, y_to) -> bool:
-    """Whether the transition's fine lattice has fewer rows than it has arcs.
+    """Whether the transition's fine lattice has fewer ordinates than arcs.
 
     Sampling the fields once per stage pays only then.  That rules out
     local's windows and the endpoint singletons; the test reads the sorted

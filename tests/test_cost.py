@@ -26,6 +26,7 @@ from terracost import (
     smooth_mesh,
     smooth_path_cost,
 )
+from terracost import cost
 from terracost.cost import sample_stage
 from terracost.ritz import RitzCandidate, candidate_eval
 
@@ -236,6 +237,65 @@ def test_negative_rate_is_refused(alpha, beta, name):
         assert rate.value(float(point[1]), float(point[2])) < 0
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [("(x-0.5)^2+(y-0.5)^2-0.001", "1"), ("0", "(x-0.5)^2+(y-0.4375)^2-0.001")],
+    ids=["alpha", "beta"],
+)
+def test_gathered_negative_rate_names_the_direct_sample(alpha, beta):
+    # Gathered from the stage lattice or priced directly, a negative rate is
+    # reported at the same sample: same field, same value, same (x, y).  The
+    # steps are dyadic, so lattice and arc sample points are the same floats;
+    # the lowest ordinate k = 1 and the block slices shift the gather index.
+    model = flat_model(alpha=alpha, beta=beta)
+    x0, tau, delta = 0.25, 0.5, 0.125
+    y_from, y_to = delta * np.arange(1, 8), delta * np.arange(2, 9)
+    samples = sample_stage(model, x0, tau, 0.0, delta, y_from, y_to)
+    for block in (y_to, y_to[3:6]):
+        messages = []
+        for given in (samples, None):
+            with pytest.raises(NegativeRateError) as err:
+                segment_cost_batch(model, x0, tau, y_from, block, samples=given)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+# ---------------------------------------------------------------------------
+# summation order
+
+
+def test_running_sum_branches_give_the_same_bits(monkeypatch):
+    # The wide branch (row adds) and the narrow one (accumulate) both add in
+    # index order, so a column summed alone has the bits it has in a batch.
+    rows = np.random.default_rng(7).normal(size=(17, 2 * cost._WIDE_ROW))
+    wide = cost._running_sum(rows.copy())
+    monkeypatch.setattr(cost, "_WIDE_ROW", rows.size + 1)
+    assert np.array_equal(cost._running_sum(rows.copy()), wide)
+    for m in (0, 5, rows.shape[1] - 1):
+        assert np.array_equal(cost._running_sum(rows[:, m : m + 1].copy()), wide[:, m : m + 1])
+        assert np.array_equal(cost._running_sum(rows[:, m].copy()), wide[:, m])
+
+
+@pytest.mark.parametrize(
+    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
+)
+def test_an_arc_prices_the_same_bits_in_any_batch(make_spec):
+    # A one-segment polyline, the one-arc batch and the same arc inside a
+    # batch wide enough for the row-add branch give equal entries.
+    model = make_spec().model
+    tau, y0, y1 = 0.0625, 0.3, 0.41
+    total, cum_len, _ = path_cost_profile(model, [0.0, tau], [y0, y1])
+    single = segment_cost_batch(model, 0.0, tau, [y0], [y1])
+    assert total == single.fixed_cost[0, 0]
+    assert cum_len[-1] == single.delta_len[0, 0]
+    y_from, y_to = np.linspace(0.0, 1.0, 40), np.linspace(0.0, 1.0, 30)
+    y_from[17], y_to[11] = y0, y1
+    assert y_from.size * y_to.size >= cost._WIDE_ROW
+    wide = segment_cost_batch(model, 0.0, tau, y_from, y_to)
+    for got, want in zip(wide, single):
+        assert got[17, 11] == want[0, 0]
+
+
 # ---------------------------------------------------------------------------
 # stage samples on the fine lattice
 
@@ -257,7 +317,7 @@ def test_gathered_tableau_equals_direct_pricing(make_spec):
     stage = delta * np.arange(65)
     for y_from, y_to in ((stage, stage), (stage[5:40], stage[20:])):
         samples = sample_stage(model, x0, tau, 0.0, delta, y_from, y_to)
-        assert samples.fields.alpha.shape == ((y_to[-1] - y_from[0]) / delta * 16 + 1, 17)
+        assert samples.fields.alpha.shape == (17, (y_to[-1] - y_from[0]) / delta * 16 + 1)
         direct = segment_cost_batch(model, x0, tau, y_from, y_to)
         for block in (y_to, y_to[7:19]):
             gathered = segment_cost_batch(model, x0, tau, y_from, block, samples=samples)

@@ -167,6 +167,27 @@ def test_terminal_label_equals_path_cost():
         assert traj.cost == path_cost(spec.model, traj.xs, traj.ys)
 
 
+@pytest.mark.parametrize(
+    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
+)
+def test_single_ordinate_stage_prices_its_own_polyline(monkeypatch, make_spec):
+    # The mask leaves stage 3 (x = 0.75) the one ordinate 0.25, so the sweep
+    # prices (N, 1) and (1, 1) arc batches next to its (N, N) ones.  Sums
+    # over samples run in index order whatever the batch shape, so the
+    # terminal label equals the path cost of the knots bit for bit (on
+    # ridge2d a pairwise sum over the (1, 1) batch's samples changes J's
+    # last bit).  Nothing gathers on this small lattice.
+    calls = count_stage_samples(monkeypatch)
+    mask = field_from_expression("(abs(y-0.25)-0.01)*(0.01-abs(x-0.75))")
+    spec = dataclasses.replace(make_spec(), mask=mask)
+    grid = build_grid(spec, 0.25, 0.125)
+    assert grid.stages[3].tolist() == [0.25]
+    assert grid.stages[2].size == 8
+    traj = solve(grid, spec)
+    assert calls == []
+    assert traj.cost == path_cost(spec.model, traj.xs, traj.ys)
+
+
 def test_solve_is_deterministic():
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.5)
@@ -309,6 +330,26 @@ def test_negative_rate_on_interior_arcs_is_refused():
     x, y = float(point[1]), float(point[2])
     assert 1 / 16 < x < 15 / 16
     assert model.alpha.value(x, y) < 0
+
+
+def test_gathered_negative_rate_names_the_direct_sample(monkeypatch):
+    # On dyadic steps the lattice points are the arcs' own sample points,
+    # so the sweep refuses the same sample whether its interior
+    # transitions gather their samples or price their arcs directly.
+    spec = make_ridge2d_spec()
+    model = dataclasses.replace(
+        spec.model, alpha=field_from_expression("1-2*exp(-400*((x-0.5)^2+(y-0.5)^2))")
+    )
+    spec = dataclasses.replace(spec, model=model)
+    grid = build_grid(spec, 1 / 16, 1 / 64)
+    calls = count_stage_samples(monkeypatch)
+    with pytest.raises(NegativeRateError) as gathered:
+        solve(grid, spec)
+    assert calls
+    monkeypatch.setattr(dp, "_gathers", lambda *args: False)
+    with pytest.raises(NegativeRateError) as direct:
+        solve(grid, spec)
+    assert str(gathered.value) == str(direct.value)
 
 
 class CountingField:
