@@ -121,11 +121,15 @@ def _object(raw, where: str) -> dict:
 
 
 def _number(value, where: str, kind=float):
+    # JSON admits NaN and Infinity, which no option can take.
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where} must be {noun}, got {value!r}") from None
+        number = kind(value)
+        if np.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{where} must be {noun}, got {value!r}")
 
 
 def _field_config(raw, name: str) -> FieldConfig:

@@ -390,8 +390,12 @@ def path_cost_profile(model: CostModel, xs, ys):
 
     Returns (total_cost, cum_length, cum_cost).  All segments are priced in
     one kernel call, and the prefix length threads through them in the stage
-    sweep's (total + fixed) + length * slope order, so a solver's reported
-    cost and this evaluation of its knots agree bit for bit.
+    sweep's (total + fixed) + length * slope order.  A solver that prices
+    each arc from its own samples therefore reports the cost this evaluation
+    gives its knots bit for bit: a sweep whose transitions all price their
+    arcs directly, and every windowed descent.  A sweep whose arcs gather
+    their samples from a stage lattice agrees only to rounding (1e-12
+    relative), since the lattice's sample ordinates round differently.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

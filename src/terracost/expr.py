@@ -11,6 +11,7 @@ the tree, which is what the quadrature kernels rely on for speed.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -27,7 +28,6 @@ __all__ = [
 
 Scalar = Union[float, np.ndarray]
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 VARIABLES = ("x", "y")
 
 
@@ -53,6 +53,36 @@ class DualValue(NamedTuple):
     v: Scalar
     dx: Scalar
     dy: Scalar
+
+
+# ---------------------------------------------------------------------------
+# one rule per operation
+#
+# Each operator and function is stated once: its value in a table below, its
+# domain check in the node's ``_apply`` and its tangent rule in the node's
+# ``_dual``.  Both traversals take values from ``_apply``, so a value computed
+# with partials has the same bits as one computed without.
+
+# symbol -> value of ``a op b``
+_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+}
+
+# name -> (value, dv/du given the argument u and the value v)
+_FUNCTIONS = {
+    "sin": (np.sin, lambda u, v: np.cos(u)),
+    "cos": (np.cos, lambda u, v: -np.sin(u)),
+    "tan": (np.tan, lambda u, v: 1.0 / np.square(np.cos(u))),
+    "exp": (np.exp, lambda u, v: v),
+    "log": (np.log, lambda u, v: 1.0 / u),
+    "sqrt": (np.sqrt, lambda u, v: 0.5 / v),
+    "abs": (np.abs, lambda u, v: np.sign(u)),  # subgradient 0 at the kink
+}
+FUNCTIONS = tuple(_FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -110,51 +140,35 @@ class Binary:
     lhs: Node
     rhs: Node
 
+    def _apply(self, a, b):
+        if self.op == "/" and np.any(b == 0.0):
+            raise ExprDomainError("division by zero", self.render())
+        if self.op == "^":
+            self._check_power(a, b)
+        return _OPERATORS[self.op](a, b)
+
     def _eval(self, x, y):
-        a = self.lhs._eval(x, y)
-        b = self.rhs._eval(x, y)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            if np.any(b == 0.0):
-                raise ExprDomainError("division by zero", self.render())
-            return a / b
-        self._check_power(a, b)
-        return np.power(a, b)
+        return self._apply(self.lhs._eval(x, y), self.rhs._eval(x, y))
 
     def _dual(self, x, y):
         a, adx, ady = self.lhs._dual(x, y)
         b, bdx, bdy = self.rhs._dual(x, y)
+        v = self._apply(a, b)
         if self.op == "+":
-            return a + b, adx + bdx, ady + bdy
+            return v, adx + bdx, ady + bdy
         if self.op == "-":
-            return a - b, adx - bdx, ady - bdy
+            return v, adx - bdx, ady - bdy
         if self.op == "*":
-            return a * b, adx * b + a * bdx, ady * b + a * bdy
+            return v, adx * b + a * bdx, ady * b + a * bdy
         if self.op == "/":
-            if np.any(b == 0.0):
-                raise ExprDomainError("division by zero", self.render())
-            inv = 1.0 / b
-            v = a * inv
-            return v, (adx - v * bdx) * inv, (ady - v * bdy) * inv
-        self._check_power(a, b)
-        v = np.power(a, b)
+            return v, (adx - v * bdx) / b, (ady - v * bdy) / b
         if isinstance(self.rhs, Literal):
-            # Constant exponent p: d(a^p) = p * a^(p-1) * da.  Valid for
-            # negative bases with integer p, where the log form is not.
-            p = self.rhs.value
-            g = p * np.power(a, p - 1.0)
+            # Constant exponent b: d(a^b) = b * a^(b-1) * da.  Valid for
+            # negative bases with integer b, where the log form is not.
+            g = b * np.power(a, b - 1.0)
             return v, g * adx, g * ady
         loga = np.log(a)
-        return (
-            v,
-            v * (bdx * loga + b * adx / a),
-            v * (bdy * loga + b * ady / a),
-        )
+        return v, v * (bdx * loga + b * adx / a), v * (bdy * loga + b * ady / a)
 
     def _check_power(self, a, b):
         if isinstance(self.rhs, Literal) and float(self.rhs.value).is_integer():
@@ -177,55 +191,20 @@ class Call:
     func: str
     arg: Node
 
-    def _eval(self, x, y):
-        u = self.arg._eval(x, y)
-        if self.func == "sin":
-            return np.sin(u)
-        if self.func == "cos":
-            return np.cos(u)
-        if self.func == "tan":
-            return np.tan(u)
-        if self.func == "exp":
-            return np.exp(u)
-        if self.func == "abs":
-            return np.abs(u)
-        if self.func == "log":
-            if np.any(u <= 0.0):
-                raise ExprDomainError("log of a non-positive value", self.render())
-            return np.log(u)
-        # sqrt
-        if np.any(u < 0.0):
+    def _apply(self, u):
+        if self.func == "log" and np.any(u <= 0.0):
+            raise ExprDomainError("log of a non-positive value", self.render())
+        if self.func == "sqrt" and np.any(u < 0.0):
             raise ExprDomainError("sqrt of a negative value", self.render())
-        return np.sqrt(u)
+        return _FUNCTIONS[self.func][0](u)
+
+    def _eval(self, x, y):
+        return self._apply(self.arg._eval(x, y))
 
     def _dual(self, x, y):
         u, udx, udy = self.arg._dual(x, y)
-        if self.func == "sin":
-            g = np.cos(u)
-            return np.sin(u), g * udx, g * udy
-        if self.func == "cos":
-            g = -np.sin(u)
-            return np.cos(u), g * udx, g * udy
-        if self.func == "tan":
-            c = np.cos(u)
-            g = 1.0 / (c * c)
-            return np.tan(u), g * udx, g * udy
-        if self.func == "exp":
-            v = np.exp(u)
-            return v, v * udx, v * udy
-        if self.func == "abs":
-            # Subgradient convention: derivative 0 at the kink.
-            g = np.sign(u)
-            return np.abs(u), g * udx, g * udy
-        if self.func == "log":
-            if np.any(u <= 0.0):
-                raise ExprDomainError("log of a non-positive value", self.render())
-            g = 1.0 / u
-            return np.log(u), g * udx, g * udy
-        if np.any(u < 0.0):
-            raise ExprDomainError("sqrt of a negative value", self.render())
-        v = np.sqrt(u)
-        g = 0.5 / v
+        v = self._apply(u)
+        g = _FUNCTIONS[self.func][1](u, v)
         return v, g * udx, g * udy
 
     def render(self) -> str:

@@ -109,14 +109,6 @@ class Heightmap:
     def ncols(self) -> int:
         return self.z.shape[1]
 
-    @property
-    def x_max(self) -> float:
-        return self.x0 + (self.ncols - 1) * self.hx
-
-    @property
-    def y_max(self) -> float:
-        return self.y0 + (self.nrows - 1) * self.hy
-
 
 def load_heightmap(path: str | Path) -> Heightmap:
     """Read the plain-text format: ``nrows ncols x0 y0 hx hy`` then the rows.
@@ -179,10 +171,6 @@ class HeightmapField:
 
     def __init__(self, heightmap: Heightmap):
         self._h = heightmap
-
-    @property
-    def heightmap(self) -> Heightmap:
-        return self._h
 
     def _locate(self, coord, origin, step, count, axis):
         u = (np.asarray(coord, dtype=float) - origin) / step

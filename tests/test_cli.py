@@ -294,6 +294,33 @@ NEGATIVE_ALPHA = {"alpha": {"expression": "-1"}, "beta": {"expression": "1"}}
             {"fields": {"alpha": {"expression": "0"}, "beta": {"expression": "x-0.5"}}},
             id="negative-beta",
         ),
+        # JSON admits NaN and Infinity; json.dumps writes them as such.
+        pytest.param(
+            ["solve"],
+            {"problem": {"l": float("inf"), "y_l": 1.0, "corridor": [0.0, 1.0]}},
+            id="l-infinite",
+        ),
+        pytest.param(
+            ["solve"],
+            {
+                "problem": {"l": 1.0, "y_l": float("inf")},
+                "solver": {"method": "local", "tau": 0.125},
+            },
+            id="y_l-infinite-local",
+        ),
+        pytest.param(
+            ["solve"],
+            {
+                "problem": {"l": float("nan"), "y_l": 1.0, "corridor": [0.0, 1.0]},
+                "solver": {"method": "ritz", "K": 2, "budget": 10},
+            },
+            id="l-nan-ritz",
+        ),
+        pytest.param(
+            ["verify"],
+            {"solver": {"method": "dp", "tau": 0.25}, "verify": {"gap_threshold": float("nan")}},
+            id="verify-gap-threshold-nan",
+        ),
     ],
 )
 def test_bad_config_exits_1_with_config_error(tmp_path, capsys, argv, overrides):

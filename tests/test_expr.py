@@ -21,6 +21,7 @@ from terracost.expr import (
     Variable,
     parse,
 )
+from terracost.terrain import field_from_expression
 
 # Expressions exercising every operator/function with safe domains on [-2, 2]^2.
 SAMPLE_EXPRESSIONS = [
@@ -188,6 +189,16 @@ def test_dual_matches_finite_differences_randomized(text):
         fdx, fdy = central_diff(e, x, y)
         assert abs(dx - fdx) <= 1e-6 * (1 + abs(dx))
         assert abs(dy - fdy) <= 1e-6 * (1 + abs(dy))
+    # Values with and without partials come from the same rule: same bits.
+    xs, ys = rng.uniform(-2.0, 2.0, size=(2, 1000))
+    field = field_from_expression(e)
+    pairs = [
+        (e.eval_dual(xs, ys).v, e.eval(xs, ys)),
+        (field.value_and_partials(xs, ys)[0], field.value(xs, ys)),
+    ]
+    for with_partials, alone in pairs:
+        with_partials, alone = np.broadcast_arrays(with_partials, alone, xs)[:2]
+        assert with_partials.tobytes() == alone.tobytes()
 
 
 def test_constants_have_exactly_zero_partials():
