@@ -121,8 +121,10 @@ def _object(raw, where: str) -> dict:
 
 
 def _number(value, where: str, kind=float):
-    # JSON admits NaN and Infinity, which no option can take.
+    # JSON admits NaN, Infinity and booleans, which no option can take.
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = kind(value)
         if np.isfinite(number):
             return number

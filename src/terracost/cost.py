@@ -32,23 +32,31 @@ kernel is then one numpy operation over whole rows of pieces rather than a
 (q + 1)-long loop per piece, and its sums over samples run strictly in
 index order, so a piece gets the same bits in a batch of any shape.
 
-The kernel reads field values, not fields.  They are sampled in one of three
-ways, and this module is the only one that samples fields:
+The kernel reads field values, not fields.  This module is the only one
+that samples fields, and :func:`sample_transitions` holds the one rule for
+where a stage transition's samples come from.  There are three sources:
 
-* directly, at every sample of every piece (:func:`_tableau`);
-* once per stage transition on its fine lattice (:func:`sample_stage`).
+* the arcs' own sample points, evaluated per call (:func:`segment_cost_batch`
+  without ``samples``, :func:`path_cost_profile`, :func:`smooth_path_cost`);
+* the fine lattice of a stage transition, sampled once when it has fewer
+  ordinates than the transition has arcs (a full stage to a full stage).
   A stage ordinate is y_lo + k*delta, so sample j of the arc from ordinate
   k to ordinate s lies at entry (j, k*(q - j) + s*j) of the (q + 1, m)
   lattice (x_start + j*tau/q, y_lo + r*delta/q), one row per sample
-  abscissa; :func:`segment_cost_batch` gathers each arc's samples from
-  there by index.  Only exact lattice ordinates gather; an off-lattice
-  start or terminal ordinate is priced directly.
-* at the arcs' own samples, for several transitions in one call
-  (:func:`sample_arcs`); :func:`segment_cost_batch` reads each
-  transition's share as sampled.  These are the direct points, so the
-  values are the direct ones.
+  abscissa, and every block of arcs gathers its samples from there by
+  index.  Only exact lattice ordinates gather; an off-lattice start or
+  terminal ordinate is priced directly.  The lattice's ordinates round
+  differently from the arcs' own, so gathered values agree with direct
+  ones to rounding only;
+* a run of consecutive other transitions whose arcs fit in one budget,
+  sampled at all its arcs' own points in one call.  These are the direct
+  points, so the values are the direct ones.
 
-A negative rate is refused at the samples some piece reads, either way.
+A negative rate is refused at the samples some piece reads, whichever the
+source, and named at the piece's own sample point: (x_start + j*tau/q,
+y_from + (y_to - y_from)*j/q) for sample j of an arc.  A lattice whose alpha and beta samples are
+all non-negative cannot hand an arc a negative rate, so its arcs skip the
+check.
 
 Quadrature is a composite trapezoid rule with ``q`` subintervals per
 piece; the inner prefix integral uses trapezoid prefix sums over the same
@@ -63,19 +71,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .terrain import ScalarField2D
+from .expr import ExprDomainError
+from .terrain import FieldDomainError, ScalarField2D
 
 __all__ = [
-    "ArcSamples",
     "CostMode",
     "CostModel",
     "NegativeRateError",
     "SegmentTableau",
-    "StageSamples",
     "path_cost",
     "path_cost_profile",
-    "sample_arcs",
-    "sample_stage",
+    "sample_transitions",
     "segment_cost_batch",
     "smooth_mesh",
     "smooth_path_cost",
@@ -168,14 +174,15 @@ def _sample(model: CostModel, xs, ys) -> _Samples:
     return _Samples(*rates, *partials)
 
 
-def _check_rates(samples: _Samples, shape, point) -> None:
+def _check_rates(samples: _Samples, shape, points) -> None:
     # Refuse a negative rate at any sample of a batch of the given shape;
-    # point(k) is the (x, y) of the sample at index k.
+    # points() gives the batch's sample (xs, ys), broadcasting to it, and is
+    # called only to name the first negative sample.
     for name, values in (("alpha", samples.alpha), ("beta", samples.beta)):
         if (values < 0).any():
             values = np.broadcast_to(values, shape)
             k = np.unravel_index(np.argmax(values < 0), shape)
-            x, y = point(k)
+            x, y = (np.broadcast_to(p, shape)[k] for p in points())
             raise NegativeRateError(
                 f"rate field '{name}' is negative ({float(values[k])!r}) "
                 f"at (x, y) = ({float(x)!r}, {float(y)!r})"
@@ -217,32 +224,6 @@ def _integrate(samples: _Samples, yp, h, shape, overwrite=False) -> SegmentTable
     return SegmentTableau(_trapz(prefix, h) + _trapz(build, h), slope, delta_len)
 
 
-class ArcSamples(NamedTuple):
-    """The fields sampled at a batch's own quadrature points.
-
-    ``ys`` holds the sample ordinates in the batch's full sample shape
-    (q + 1, ...), sample axis first; ``xs`` holds the abscissae
-    (broadcasting against ``ys``) and ``fields`` the field values there.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    fields: _Samples
-
-
-def _priced(samples: ArcSamples, yp, h) -> SegmentTableau:
-    # Refuse a negative rate at any sample of the batch, then integrate.
-    xs, ys = samples.xs, samples.ys
-    _check_rates(samples.fields, ys.shape, lambda k: (np.broadcast_to(xs, ys.shape)[k], ys[k]))
-    return _integrate(samples.fields, yp, h, ys.shape)
-
-
-def _tableau(model: CostModel, xs, ys, yp, h) -> SegmentTableau:
-    # Sample the fields at the points (xs, ys) and integrate; ys has the
-    # full sample shape.
-    return _priced(ArcSamples(xs, ys, _sample(model, xs, ys)), yp, h)
-
-
 def _linear_points(q: int, x_start, tau, y_from, y_to):
     # Sample points of the straight segments (x_start, y_from) ->
     # (x_start + tau, y_to), with a new leading sample axis; the arguments
@@ -252,10 +233,52 @@ def _linear_points(q: int, x_start, tau, y_from, y_to):
     return x_start + tau * ts, y_from + rise * ts
 
 
-def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to) -> SegmentTableau:
+class _Lattice(NamedTuple):
+    # The fields sampled once on the fine lattice of one stage transition:
+    # (q + 1, m) arrays, sample axis first, entry (j, r) at
+    # (x_start + j*tau/q, y_lo + delta*(k_lo*q + r)/q).  ``negative`` tells
+    # whether some alpha or beta sample there is negative.
+    y_lo: float
+    delta: float
+    k_lo: int
+    fields: _Samples
+    negative: bool
+
+    def gather(self, y_from, y_to) -> _Samples:
+        # The samples of the arcs from the column y_from to the row y_to of
+        # lattice ordinates.  Sample j of the arc from ordinate k_lo + k to
+        # k_lo + s is entry (j, k*(q - j) + s*j).
+        rows, m = self.fields.alpha.shape
+        q = rows - 1
+        j = np.arange(rows)[:, None, None]
+        kf, kt = (
+            np.rint((y - self.y_lo) / self.delta).astype(np.intp) - self.k_lo
+            for y in (y_from, y_to)
+        )
+        flat = (j * m + kf * (q - j)) + kt * j
+        return _Samples(*(None if v is None else v.take(flat) for v in self.fields))
+
+
+def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
+    # Price the straight arcs (x_start, y_from) -> (x_start + tau, y_to),
+    # whose arguments broadcast as in _linear_points, from field samples:
+    # taken at the arcs' own points when None, gathered from a _Lattice, or
+    # as given.  Rates are checked unless the lattice holds no negative one.
     q = model.quadrature_subdivisions
-    xs, ys = _linear_points(q, x_start, tau, y_from, y_to)
-    return _tableau(model, xs, ys, (y_to - y_from) / tau, tau / q)
+
+    def points():
+        return _linear_points(q, x_start, tau, y_from, y_to)
+
+    shape = (q + 1,) + np.broadcast(y_from, y_to).shape
+    lattice = samples if isinstance(samples, _Lattice) else None
+    if lattice is not None:
+        samples = lattice.gather(y_from, y_to)
+    elif samples is None:
+        samples = _sample(model, *points())
+    if lattice is None or lattice.negative:
+        _check_rates(samples, shape, points)
+    yp = (y_to - y_from) / tau
+    return _integrate(samples, yp, tau / q, shape, overwrite=lattice is not None)
 
 
 def _arc_axes(y_from, y_to):
@@ -264,65 +287,9 @@ def _arc_axes(y_from, y_to):
     return np.asarray(y_from, dtype=float)[:, None], np.asarray(y_to, dtype=float)[None, :]
 
 
-def sample_arcs(model: CostModel, transitions) -> list[ArcSamples]:
-    """Sample the fields at the arcs of several stage transitions in one call.
-
-    ``transitions`` holds one (x_start, tau, y_from, y_to) per transition.
-    Each gets the :class:`ArcSamples` of its (q + 1, len(y_from), len(y_to))
-    arc samples, sample axis first: the points :func:`segment_cost_batch`
-    samples without ``samples``, so a field evaluated pointwise gives the
-    same values.
-    Rates are checked when the arcs are priced, not here.
-    """
-    q = model.quadrature_subdivisions
-    points = [
-        _linear_points(q, x_start, tau, *_arc_axes(y_from, y_to))
-        for x_start, tau, y_from, y_to in transitions
-    ]
-    xs = np.concatenate([np.broadcast_to(x, y.shape) for x, y in points], axis=None)
-    ys = np.concatenate([y for _, y in points], axis=None)
-    fields = _sample(model, xs, ys)
-    out = []
-    start = 0
-    for x, y in points:
-        stop = start + y.size
-        # A constant field may come back as a scalar; every transition shares it.
-        values = (v if np.ndim(v) == 0 else v[start:stop].reshape(y.shape) for v in fields)
-        out.append(ArcSamples(x, y, _Samples(*values)))
-        start = stop
-    return out
-
-
-class StageSamples(NamedTuple):
-    """The fields sampled once on the fine lattice of one stage transition.
-
-    ``fields`` holds (q + 1, m) arrays, sample axis first: entry (j, r) lies
-    at ``xs[j]`` = x_start + j*tau/q and ``ys[r]`` = y_lo + delta*(r'/q),
-    for the m fine ordinates r' = k_lo*q ... k_hi*q.  Sample j of the arc
-    from lattice ordinate k_lo + k to k_lo + s is entry
-    (j, k*(q - j) + s*j), at flat index j*m + k*(q - j) + s*j, so every arc
-    of the transition finds its samples here.
-    """
-
-    y_lo: float
-    delta: float
-    k_lo: int
-    xs: np.ndarray
-    ys: np.ndarray
-    fields: _Samples
-
-
-def sample_stage(
-    model: CostModel, x_start: float, tau: float, y_lo: float, delta: float, y_from, y_to
-) -> StageSamples | None:
-    """Sample the fields once on the fine lattice of one stage transition.
-
-    The transition's ordinates must be lattice ordinates: y == y_lo + delta*k
-    exactly, for k = rint((y - y_lo)/delta).  Returns None when one is not
-    (an off-lattice start or terminal ordinate); its arcs are then priced
-    directly.  Rates are checked when arcs gather them, not here, so a
-    negative value at a lattice point no arc samples is never refused.
-    """
+def _sample_lattice(model: CostModel, y_lo, delta, x_start, tau, y_from, y_to):
+    # The _Lattice of one transition, or None when an ordinate is not a
+    # lattice ordinate y_lo + delta*k exactly, for k = rint((y - y_lo)/delta).
     ks = []
     for y in (y_from, y_to):
         y = np.asarray(y, dtype=float)
@@ -340,7 +307,74 @@ def sample_stage(
     fields = _Samples(
         *(None if v is None else np.ascontiguousarray(np.broadcast_to(v, shape)) for v in fields)
     )
-    return StageSamples(y_lo, delta, k_lo, xs, ys, fields)
+    negative = bool((fields.alpha < 0).any() or (fields.beta < 0).any())
+    return _Lattice(y_lo, delta, k_lo, fields, negative)
+
+
+def _run_entries(model: CostModel, run) -> list:
+    # One entry per transition of a run: a run of two or more samples its
+    # fields at all its arcs' own points in one call and shares them out.
+    # A lone transition, or a run where a field refuses a point, gets None:
+    # each transition then samples its own arcs, so errors come in stage
+    # order.
+    if len(run) < 2:
+        return [None] * len(run)
+    q = model.quadrature_subdivisions
+    points = [
+        _linear_points(q, x_start, tau, *_arc_axes(y_from, y_to))
+        for x_start, tau, y_from, y_to in run
+    ]
+    xs = np.concatenate([np.broadcast_to(x, y.shape) for x, y in points], axis=None)
+    ys = np.concatenate([y for _, y in points], axis=None)
+    try:
+        fields = _sample(model, xs, ys)
+    except (ExprDomainError, FieldDomainError):
+        return [None] * len(run)
+    out = []
+    start = 0
+    for _, y in points:
+        stop = start + y.size
+        # A constant field may come back as a scalar; every transition shares it.
+        values = (v if np.ndim(v) == 0 else v[start:stop].reshape(y.shape) for v in fields)
+        out.append(_Samples(*values))
+        start = stop
+    return out
+
+
+def sample_transitions(model: CostModel, transitions, y_lo: float, delta: float, budget: int):
+    """Each stage transition's field samples, lazily and in stage order.
+
+    ``transitions`` yields one (x_start, tau, y_from, y_to) per transition,
+    with sorted stage ordinates.  Each gets the ``samples`` entry of its
+    :func:`segment_cost_batch` call, chosen by one rule:
+
+    * a stage lattice, when the transition's fine lattice has fewer
+      ordinates than the transition has arcs (a full stage to a full stage)
+      and all its ordinates are lattice ordinates y_lo + k*delta;
+    * otherwise the transition joins a run of consecutive such transitions
+      whose arcs together number at most ``budget``.  A run of two or more
+      gets its share of fields sampled at all its arcs in one call;
+    * None, to sample the arcs directly: a lone transition, an off-lattice
+      one, and every transition of a run where a field refuses a point.
+
+    Nothing is sampled before the transitions ahead of it are consumed.
+    """
+    q = model.quadrature_subdivisions
+    run, run_arcs = [], 0
+    for transition in transitions:
+        x_start, tau, y_from, y_to = transition
+        arcs = len(y_from) * len(y_to)
+        span = max(y_from[-1], y_to[-1]) - min(y_from[0], y_to[0])
+        gathers = span / delta * q + 1 < arcs
+        if run and (gathers or run_arcs + arcs > budget):
+            yield from _run_entries(model, run)
+            run, run_arcs = [], 0
+        if gathers:
+            yield _sample_lattice(model, y_lo, delta, *transition)
+        else:
+            run.append(transition)
+            run_arcs += arcs
+    yield from _run_entries(model, run)
 
 
 def segment_cost_batch(
@@ -350,39 +384,20 @@ def segment_cost_batch(
     y_from,
     y_to,
     *,
-    samples: StageSamples | ArcSamples | None = None,
+    samples: _Lattice | _Samples | None = None,
 ) -> SegmentTableau:
     """Evaluate all from x to pairs of one stage transition in one call.
 
     Returns arrays of shape (len(y_from), len(y_to)).  Each pair is the
     linear segment from (x_start, y_from[k]) to (x_start + tau, y_to[s]).
-    Without ``samples`` the fields are evaluated at the pairs' samples.
-    With the :func:`sample_stage` of this transition they are gathered from
-    the stage lattice; with this transition's :func:`sample_arcs` entry
-    they are read as sampled.  The rate check and the integration are the
-    same either way.
+    Without ``samples`` the fields are evaluated at the pairs' samples;
+    with this transition's :func:`sample_transitions` entry they are taken
+    from there.  The integration is the same either way, and a negative rate
+    is refused at any sample an arc reads.
     """
     if tau <= 0:
         raise ValueError(f"segment width must be positive, got {tau}")
-    yf, yt = _arc_axes(y_from, y_to)
-    q = model.quadrature_subdivisions
-    if samples is None:
-        return _linear_tableau(model, x_start, tau, yf, yt)
-    if isinstance(samples, ArcSamples):
-        return _priced(samples, (yt - yf) / tau, tau / q)
-    m = samples.ys.size
-    j = np.arange(q + 1)[:, None, None]
-    kf, kt = (
-        np.rint((y - samples.y_lo) / samples.delta).astype(np.intp) - samples.k_lo
-        for y in (yf, yt)
-    )
-    # Flat index of sample j of arc (k, s): entry (j, k*(q - j) + s*j).
-    flat = (j * m + kf * (q - j)) + kt * j
-    gathered = _Samples(*(None if v is None else v.take(flat) for v in samples.fields))
-    _check_rates(
-        gathered, flat.shape, lambda k: (samples.xs[k[0]], samples.ys[flat[k] - k[0] * m])
-    )
-    return _integrate(gathered, (yt - yf) / tau, tau / q, flat.shape, overwrite=True)
+    return _linear_tableau(model, x_start, tau, *_arc_axes(y_from, y_to), samples)
 
 
 def path_cost_profile(model: CostModel, xs, ys):
@@ -446,7 +461,9 @@ def smooth_path_cost(model: CostModel, xs, ys, yp, h) -> float:
     samples ``xs`` (no chord approximation); each cell is integrated by the
     composite trapezoid scheme and the prefix length threads across cells.
     """
-    tab = _tableau(model, xs, ys, yp, h)
+    samples = _sample(model, xs, ys)
+    _check_rates(samples, ys.shape, lambda: (xs, ys))
+    tab = _integrate(samples, yp, h, ys.shape)
     len_start = np.concatenate([[0.0], np.cumsum(tab.delta_len)[:-1]])
     total = float(np.sum(tab.fixed_cost + len_start * tab.prefix_slope))
     if not np.isfinite(total):

@@ -24,22 +24,12 @@ are mapped over a thread pool).  A label that is not finite (singular or
 overflowing fields) stops the sweep with an error naming its stage, so it
 can never pick a path.
 
-A transition whose fine lattice has fewer ordinates than it has arcs (a
-full stage to a full stage) samples its fields once on that lattice, at
-(q + 1) * ((k_max - k_min) * q + 1) points, and every block gathers its
-arcs' samples from there (see :mod:`terracost.cost`), unless an ordinate
-lies off the lattice y_lo + k*delta.  Both ways give the same tableau up to
-the rounding of the sample ordinates.
-
-Local's windows and the endpoint fans have more fine ordinates than arcs
-and price their arcs directly.  Consecutive such transitions whose arcs together fit
-in one relaxation block form a run, and a run of two or more samples its
-fields at all its arcs' samples in one call (``sample_arcs``): a whole
-window grid of ``local`` evaluates each field once, not once per stage.
-Each transition of a run is still priced by its own ``segment_cost_batch``
-call, which checks its rates, and its labels are checked before the next
-transition's, so results and errors are those of sampling transition by
-transition.
+Where each transition's field samples come from (its arcs' own points, a
+stage lattice sampled once, or a run of transitions sampled in one call)
+is decided by :func:`terracost.cost.sample_transitions`.  The sweep prices
+each transition by its own ``segment_cost_batch`` call and checks its
+labels before the next one's, so results and errors are those of sampling
+transition by transition.
 
 Refinement follows the coupling delta_k = gamma * tau_k^(1+eps): halving
 tau while shrinking delta strictly faster is what makes the refined optima
@@ -58,9 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import CostModel, sample_arcs, sample_stage, segment_cost_batch
-from .expr import ExprDomainError
-from .terrain import FieldDomainError, ScalarField2D, feasible
+from .cost import CostModel, sample_transitions, segment_cost_batch
+from .terrain import ScalarField2D, feasible
 
 __all__ = [
     "BlockedCorridorError",
@@ -212,83 +201,27 @@ def _relax(model: CostModel, x_start, tau, y_from, d, length, y_to, samples=None
     return best, candidates[best, cols], length[best] + tab.delta_len[best, cols]
 
 
-def _transition(grid: StageGrid, i: int):
-    # (x_start, tau, y_from, y_to) of the transition from stage i to i + 1.
-    return grid.xs[i], grid.xs[i + 1] - grid.xs[i], grid.stages[i], grid.stages[i + 1]
-
-
-def _gathers(q: int, delta, y_from, y_to) -> bool:
-    """Whether the transition's fine lattice has fewer ordinates than arcs.
-
-    Sampling the fields once per stage pays only then.  That rules out
-    local's windows and the endpoint singletons; the test reads the sorted
-    stage ends only.
-    """
-    span = max(y_from[-1], y_to[-1]) - min(y_from[0], y_to[0])
-    return span / delta * q + 1 < y_from.size * y_to.size
-
-
-def _sample_run(model: CostModel, run):
-    """The samples of a run of directly priced transitions, one per transition.
-
-    A run of two or more is sampled in one call.  Should a field refuse a
-    point there, the run's transitions sample their own arcs instead, so
-    errors still come in stage order.  A lone transition samples its own
-    arcs.
-    """
-    if len(run) > 1:
-        try:
-            return sample_arcs(model, run)
-        except (ExprDomainError, FieldDomainError):
-            pass
-    return [None] * len(run)
-
-
-def _transition_samples(grid: StageGrid, spec: ProblemSpec):
-    """Each transition's field samples, in stage order.
-
-    Nothing is sampled before the sweep reaches its transition or run.
-
-    A transition that gathers (see :func:`_gathers`) gets its
-    :func:`~terracost.cost.sample_stage`, or None off the lattice.  The
-    others price their arcs directly; consecutive ones whose arcs together
-    fit in ``_BLOCK_ARCS`` form a run whose fields are sampled in one call
-    (:func:`_sample_run`).
-    """
-    q = spec.model.quadrature_subdivisions
-    run, run_arcs = [], 0
-    for i in range(grid.n):
-        transition = _transition(grid, i)
-        x_start, tau, y_from, y_to = transition
-        gathers = _gathers(q, grid.delta, y_from, y_to)
-        arcs = y_from.size * y_to.size
-        if run and (gathers or run_arcs + arcs > _BLOCK_ARCS):
-            yield from _sample_run(spec.model, run)
-            run, run_arcs = [], 0
-        if gathers:
-            y_lo = spec.corridor[0]
-            yield sample_stage(spec.model, x_start, tau, y_lo, grid.delta, y_from, y_to)
-        else:
-            run.append(transition)
-            run_arcs += arcs
-    yield from _sample_run(spec.model, run)
-
-
 def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None):
     """Forward pass over all stages.
 
     Every transition is relaxed in blocks of at most ``_BLOCK_ARCS``
     candidate arcs (at least one to-node each), mapped serially or over the
-    executor's threads; a transition of a run fits in one block.  Returns
-    the predecessor arrays of stages 1..n, the terminal cost-to-come labels
-    and the evaluation count.
+    executor's threads; a run of transitions sampled together fits in one
+    block.  Returns the predecessor arrays of stages 1..n, the terminal
+    cost-to-come labels and the evaluation count.
     """
     d = np.zeros(1)
     length = np.zeros(1)
     preds: list[np.ndarray] = []
     evaluations = 0
-    for i, samples in enumerate(_transition_samples(grid, spec)):
-        x_start, tau, y_from, y_to = _transition(grid, i)
+    transitions = [
+        (grid.xs[i], grid.xs[i + 1] - grid.xs[i], grid.stages[i], grid.stages[i + 1])
+        for i in range(grid.n)
+    ]
+    entries = sample_transitions(
+        spec.model, transitions, spec.corridor[0], grid.delta, _BLOCK_ARCS
+    )
+    for i, ((x_start, tau, y_from, y_to), samples) in enumerate(zip(transitions, entries)):
         relax = functools.partial(
             _relax, spec.model, x_start, tau, y_from, d, length, samples=samples
         )

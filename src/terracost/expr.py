@@ -164,7 +164,10 @@ class Binary:
             return v, (adx - v * bdx) / b, (ady - v * bdy) / b
         if isinstance(self.rhs, Literal):
             # Constant exponent b: d(a^b) = b * a^(b-1) * da.  Valid for
-            # negative bases with integer b, where the log form is not.
+            # negative bases with integer b, where the log form is not.  a^0
+            # is the constant 1, also at a = 0 where the rule gives 0 * inf.
+            if b == 0.0:
+                return v, 0.0, 0.0
             g = b * np.power(a, b - 1.0)
             return v, g * adx, g * ady
         loga = np.log(a)

@@ -32,6 +32,7 @@ from terracost import (
     localsearch,
     ritz,
 )
+from terracost import cost
 
 RIDGE_ALPHA = "cos(5*x)^2*cos(y)^2"
 RIDGE_BETA = "1+sin(5*x)*sin(y)"
@@ -87,6 +88,21 @@ def make_masked_heightmap_spec(q: int = 16) -> ProblemSpec:
     )
     mask = field_from_expression("0.01-(x-0.5)^2-(y-0.5)^2")
     return ProblemSpec(l=1.0, y_l=1.0, corridor=(0.0, 1.0), model=model, mask=mask)
+
+
+def record_stage_lattices(monkeypatch) -> list:
+    """Record the stage lattices that dp's sweeps sample, as they come."""
+    lattices = []
+    sample_transitions = dp.sample_transitions
+
+    def recorded(*args):
+        for entry in sample_transitions(*args):
+            if isinstance(entry, cost._Lattice):
+                lattices.append(entry)
+            yield entry
+
+    monkeypatch.setattr(dp, "sample_transitions", recorded)
+    return lattices
 
 
 def make_flat_spec(alpha: str = "0", beta: str = "1") -> ProblemSpec:

@@ -111,6 +111,22 @@ def test_unknown_solver_option_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"problem": {"l": True, "y_l": 1.0}}, "problem.l must be a finite number, got True"),
+        ({"solver": {"method": "dp", "tau": True}}, "solver.tau must be a finite number, got True"),
+        ({"solver": {"method": "ritz", "K": True}}, "solver.K must be an integer, got True"),
+    ],
+    ids=["l", "tau", "K"],
+)
+def test_json_booleans_are_not_numbers(tmp_path, capsys, overrides, message):
+    # float(True) == 1.0, so a boolean would otherwise load as the number 1.
+    config = write_config(tmp_path, **overrides)
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
 # ---------------------------------------------------------------------------
 # solve
 

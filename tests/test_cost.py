@@ -27,7 +27,7 @@ from terracost import (
     smooth_path_cost,
 )
 from terracost import cost
-from terracost.cost import sample_stage
+from terracost.cost import sample_transitions
 from terracost.ritz import RitzCandidate, candidate_eval
 
 from conftest import (
@@ -213,6 +213,13 @@ def test_segment_preconditions():
         path_cost(model, [0.5, 1.0], [0.0, 1.0])
 
 
+def transition_samples(model, x_start, tau, y_lo, delta, y_from, y_to):
+    """The samples entry that sample_transitions gives one transition."""
+    transition = (x_start, tau, np.asarray(y_from, dtype=float), np.asarray(y_to, dtype=float))
+    (entry,) = sample_transitions(model, [transition], y_lo, delta, budget=8192)
+    return entry
+
+
 @pytest.mark.parametrize(
     "alpha, beta, name",
     [("-1", "1", "alpha"), ("0", "x-0.5", "beta"), ("0.1", "1-2*y", "beta")],
@@ -220,14 +227,16 @@ def test_segment_preconditions():
 def test_negative_rate_is_refused(alpha, beta, name):
     # Every pricing path (direct, gathered from the stage lattice, polyline)
     # refuses a rate that is negative at any sample and names the field and
-    # a sample point where it is negative.
+    # a sample point where it is negative.  Two 17-node stages have more
+    # arcs (289) than fine lattice rows (257), so they gather.
     model = flat_model(alpha=alpha, beta=beta)
     rate = model.alpha if name == "alpha" else model.beta
-    y_from, y_to = [0.0, 0.5], [0.25, 0.75]
-    samples = sample_stage(model, 0.0, 0.25, 0.0, 0.25, y_from, y_to)
+    stage = np.arange(17) / 16
+    samples = transition_samples(model, 0.0, 0.25, 0.0, 1 / 16, stage, stage)
+    assert isinstance(samples, cost._Lattice)
     calls = (
-        lambda: segment_cost_batch(model, 0.0, 0.25, y_from, y_to),
-        lambda: segment_cost_batch(model, 0.0, 0.25, y_from, y_to, samples=samples),
+        lambda: segment_cost_batch(model, 0.0, 0.25, stage, stage),
+        lambda: segment_cost_batch(model, 0.0, 0.25, stage, stage, samples=samples),
         lambda: path_cost(model, [0.0, 0.5, 1.0], [0.0, 0.75, 1.0]),
     )
     for call in calls:
@@ -235,6 +244,19 @@ def test_negative_rate_is_refused(alpha, beta, name):
             call()
         point = re.search(r"at \(x, y\) = \((.+), (.+)\)$", str(err.value))
         assert rate.value(float(point[1]), float(point[2])) < 0
+
+
+def negative_rate_messages(model, x0, tau, y_lo, delta, y_from, blocks):
+    """The errors of gathered and of direct pricing, for each block of to-nodes."""
+    samples = transition_samples(model, x0, tau, y_lo, delta, y_from, blocks[0])
+    assert isinstance(samples, cost._Lattice)
+    messages = []
+    for block in blocks:
+        for given in (samples, None):
+            with pytest.raises(NegativeRateError) as err:
+                segment_cost_batch(model, x0, tau, y_from, block, samples=given)
+            messages.append(str(err.value))
+    return messages
 
 
 @pytest.mark.parametrize(
@@ -248,16 +270,23 @@ def test_gathered_negative_rate_names_the_direct_sample(alpha, beta):
     # steps are dyadic, so lattice and arc sample points are the same floats;
     # the lowest ordinate k = 1 and the block slices shift the gather index.
     model = flat_model(alpha=alpha, beta=beta)
-    x0, tau, delta = 0.25, 0.5, 0.125
-    y_from, y_to = delta * np.arange(1, 8), delta * np.arange(2, 9)
-    samples = sample_stage(model, x0, tau, 0.0, delta, y_from, y_to)
-    for block in (y_to, y_to[3:6]):
-        messages = []
-        for given in (samples, None):
-            with pytest.raises(NegativeRateError) as err:
-                segment_cost_batch(model, x0, tau, y_from, block, samples=given)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+    delta = 1 / 64
+    y_from, y_to = delta * np.arange(1, 57), delta * np.arange(2, 58)
+    messages = negative_rate_messages(model, 0.25, 0.5, 0.0, delta, y_from, (y_to, y_to[3:40]))
+    assert messages[0] == messages[1]
+    assert messages[2] == messages[3]
+
+
+def test_gathered_negative_rate_names_the_arc_point_off_dyadic_steps():
+    # Off dyadic steps the lattice ordinates round differently from the
+    # arcs' own sample ordinates, but the error names the arc's own point
+    # whichever way its samples were taken.
+    model = flat_model(alpha="1-2*exp(-400*((x-0.5)^2+(y-0.5)^2))")
+    y_lo, delta = -0.37, 1 / 30
+    stage = y_lo + delta * np.arange(40)
+    messages = negative_rate_messages(model, 0.4, 0.1, y_lo, delta, stage, (stage,))
+    points = [re.search(r"at \(x, y\) = .*$", message)[0] for message in messages]
+    assert points[0] == points[1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +345,7 @@ def test_gathered_tableau_equals_direct_pricing(make_spec):
     delta, tau, x0 = 1 / 64, 1 / 16, 0.3125
     stage = delta * np.arange(65)
     for y_from, y_to in ((stage, stage), (stage[5:40], stage[20:])):
-        samples = sample_stage(model, x0, tau, 0.0, delta, y_from, y_to)
+        samples = transition_samples(model, x0, tau, 0.0, delta, y_from, y_to)
         assert samples.fields.alpha.shape == (17, (y_to[-1] - y_from[0]) / delta * 16 + 1)
         direct = segment_cost_batch(model, x0, tau, y_from, y_to)
         for block in (y_to, y_to[7:19]):
@@ -329,22 +358,32 @@ def test_gathered_tableau_equals_direct_pricing(make_spec):
 
 
 def test_rates_are_checked_where_arcs_sample_them():
-    # alpha = x + 0.5 - y is negative at (0, 1), a lattice point that the
-    # one arc (0, 0) -> (1, 1) never samples: only the arcs' points count.
-    model = flat_model(alpha="x+0.5-y")
-    samples = sample_stage(model, 0.0, 1.0, 0.0, 0.5, [0.0], [1.0])
-    assert samples.fields.alpha.min() < 0
-    gathered = segment_cost_batch(model, 0.0, 1.0, [0.0], [1.0], samples=samples)
-    assert_tableaux_close(gathered, segment_cost_batch(model, 0.0, 1.0, [0.0], [1.0]), 1e-13)
+    # alpha = x + 0.9 - y is negative at the lattice's top corner (0, 79/64),
+    # which no arc from the lower 40 ordinates to the upper 40 ever samples
+    # (y - x stays below 40/64 on every arc): only the arcs' points count.
+    model = flat_model(alpha="x+0.9-y")
+    delta = 1 / 64
+    y_from, y_to = delta * np.arange(40), delta * np.arange(40, 80)
+    samples = transition_samples(model, 0.0, 1.0, 0.0, delta, y_from, y_to)
+    assert samples.negative and samples.fields.alpha.min() < 0
+    gathered = segment_cost_batch(model, 0.0, 1.0, y_from, y_to, samples=samples)
+    assert_tableaux_close(gathered, segment_cost_batch(model, 0.0, 1.0, y_from, y_to), 1e-13)
 
 
 def test_off_lattice_ordinates_are_not_sampled():
-    # On the lattice -0.37 + k/64, neither 0 nor 1 is an ordinate.
+    # On the lattice -0.37 + k/64, neither 0 nor 1 is an ordinate: the
+    # transitions holding them are priced directly although they have
+    # more arcs than fine lattice rows.
     model = make_ridge2d_spec().model
     stage = -0.37 + np.arange(101) / 64
-    assert sample_stage(model, 0.0, 1 / 16, -0.37, 1 / 64, stage, stage) is not None
-    assert sample_stage(model, 0.0, 1 / 16, -0.37, 1 / 64, [0.0], stage) is None
-    assert sample_stage(model, 0.0, 1 / 16, -0.37, 1 / 64, stage, [1.0]) is None
+    transitions = [
+        (0.0, 1 / 16, stage, stage),
+        (0.0, 1 / 16, np.sort(np.append(stage, 0.0)), stage),
+        (0.0, 1 / 16, stage, np.sort(np.append(stage, 1.0))),
+    ]
+    entries = list(sample_transitions(model, transitions, -0.37, 1 / 64, budget=8192))
+    assert isinstance(entries[0], cost._Lattice)
+    assert entries[1:] == [None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,12 @@ from terracost import (
     solve_refined,
 )
 
-from terracost.cost import sample_stage
-
 from conftest import (
     make_flat_spec,
     make_masked_heightmap_spec,
     make_relief3d_spec,
     make_ridge2d_spec,
+    record_stage_lattices,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -177,14 +176,14 @@ def test_single_ordinate_stage_prices_its_own_polyline(monkeypatch, make_spec):
     # terminal label equals the path cost of the knots bit for bit (on
     # ridge2d a pairwise sum over the (1, 1) batch's samples changes J's
     # last bit).  Nothing gathers on this small lattice.
-    calls = count_stage_samples(monkeypatch)
+    lattices = record_stage_lattices(monkeypatch)
     mask = field_from_expression("(abs(y-0.25)-0.01)*(0.01-abs(x-0.75))")
     spec = dataclasses.replace(make_spec(), mask=mask)
     grid = build_grid(spec, 0.25, 0.125)
     assert grid.stages[3].tolist() == [0.25]
     assert grid.stages[2].size == 8
     traj = solve(grid, spec)
-    assert calls == []
+    assert lattices == []
     assert traj.cost == path_cost(spec.model, traj.xs, traj.ys)
 
 
@@ -287,18 +286,6 @@ def test_non_finite_cost_stops_the_sweep():
 # stage samples on the fine lattice
 
 
-def count_stage_samples(monkeypatch):
-    """Count the transitions whose fields dp samples on the fine lattice."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return sample_stage(*args)
-
-    monkeypatch.setattr(dp, "sample_stage", counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "corridor", [(0.0, 1.0), (-0.37, 1.2)], ids=["on-lattice", "off-lattice"]
 )
@@ -308,11 +295,11 @@ def test_gathered_sweep_prices_its_own_polyline(monkeypatch, corridor):
     # transitions are priced directly.  Either way the terminal label is
     # the polyline's own path cost, up to the rounding of the samples'
     # ordinates.
-    calls = count_stage_samples(monkeypatch)
+    lattices = record_stage_lattices(monkeypatch)
     spec = dataclasses.replace(make_ridge2d_spec(), corridor=corridor)
     grid = build_grid(spec, 1 / 16, 1 / 64)
     traj = solve(grid, spec)
-    assert len(calls) == grid.n - 2
+    assert len(lattices) == grid.n - 2
     assert traj.cost == pytest.approx(path_cost(spec.model, traj.xs, traj.ys), rel=1e-12, abs=0)
 
 
@@ -342,11 +329,14 @@ def test_gathered_negative_rate_names_the_direct_sample(monkeypatch):
     )
     spec = dataclasses.replace(spec, model=model)
     grid = build_grid(spec, 1 / 16, 1 / 64)
-    calls = count_stage_samples(monkeypatch)
+    lattices = record_stage_lattices(monkeypatch)
     with pytest.raises(NegativeRateError) as gathered:
         solve(grid, spec)
-    assert calls
-    monkeypatch.setattr(dp, "_gathers", lambda *args: False)
+    assert lattices
+    # Every transition priced from its arcs' own samples.
+    monkeypatch.setattr(
+        dp, "sample_transitions", lambda model, transitions, *args: [None] * len(transitions)
+    )
     with pytest.raises(NegativeRateError) as direct:
         solve(grid, spec)
     assert str(gathered.value) == str(direct.value)

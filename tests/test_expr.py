@@ -205,6 +205,9 @@ def test_constants_have_exactly_zero_partials():
     for text in ("0", "0.1", "3.5", "2^3", "-1.25"):
         v, dx, dy = parse(text).eval_dual(0.7, -0.3)
         assert dx == 0.0 and dy == 0.0
+    # a^0 is the constant 1, also at a zero base (the power rule gives 0 * inf).
+    for text in ("x^0", "(x*y)^0.0"):
+        assert parse(text).eval_dual(0.0, 0.0) == DualValue(1.0, 0.0, 0.0)
 
 
 def test_abs_subgradient_zero_at_kink():

@@ -22,6 +22,7 @@ from conftest import (
     make_masked_heightmap_spec,
     make_relief3d_spec,
     make_ridge2d_spec,
+    record_stage_lattices,
 )
 
 SQRT2 = float(np.sqrt(2.0))
@@ -172,15 +173,11 @@ def test_windows_are_priced_directly(monkeypatch):
     # global sweep of the same grid samples every interior transition's.
     spec = make_relief3d_spec()
     grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
-    calls = []
-    sample_stage = dp.sample_stage
-    monkeypatch.setattr(
-        dp, "sample_stage", lambda *args: calls.append(args) or sample_stage(*args)
-    )
+    lattices = record_stage_lattices(monkeypatch)
     localsearch.run(spec, grid, m=1)
-    assert calls == []
+    assert lattices == []
     dp.solve(grid, spec)
-    assert len(calls) == grid.n - 2
+    assert len(lattices) == grid.n - 2
 
 
 def make_level_relief_spec():
