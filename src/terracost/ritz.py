@@ -8,14 +8,16 @@ so both boundary conditions hold for every coefficient vector and the
 search is over the K coefficients alone.  The objective is the smooth-path
 cost on a fixed quadrature mesh, minimized by derivative-free Nelder-Mead
 descent; differentiating through the nested delivery integral is not worth
-the trouble for a cross-check solver.
+the trouble for a cross-check solver.  The descent is the classic
+non-adaptive Nelder-Mead (reflection 1, expansion 2, contraction and shrink
+1/2) in the form scipy implements it, step for step and bit for bit, so
+the solver needs numpy alone.
 
 Only the coefficients change between objective calls, so the trial-space
 basis (sin and cos of every mesh sample times every frequency, and the
-chord) is tabulated once per (span, end ordinate, K, mesh points, q) and
-shared read-only; an evaluation is then two table products plus the field
-evaluation and pricing.  scipy is imported by :func:`minimize` alone, so
-importing terracost does not pay for it.
+chord) is tabulated once per (span, end ordinate, K, mesh points, q), term
+axis first, and shared read-only; an evaluation then adds the K terms one
+whole row at a time before the field evaluation and pricing.
 """
 
 from __future__ import annotations
@@ -71,22 +73,30 @@ class _SampledBasis(NamedTuple):
     freqs: np.ndarray  # (K,) pi k / span
     chord_slope: float
     chord: np.ndarray  # chord_slope * x
-    sin_xk: np.ndarray  # sin(x * freqs), shape x.shape + (K,)
+    sin_xk: np.ndarray  # sin(freqs * x), term axis first: (K,) + x.shape
     cos_xk: np.ndarray
 
 
 def _sample_basis(x: np.ndarray, basis_size: int, span: float, end_ordinate: float):
     freqs = np.pi * np.arange(1, basis_size + 1) / span
     chord_slope = end_ordinate / span
-    xk = x[..., None] * freqs
+    xk = np.multiply.outer(freqs, x)
     return _SampledBasis(freqs, chord_slope, chord_slope * x, np.sin(xk), np.cos(xk))
 
 
 def _series(basis: _SampledBasis, a: np.ndarray):
-    """Value and slope (y, y') of the trial curve with coefficients ``a``."""
-    y = basis.chord + (basis.sin_xk * a).sum(axis=-1)
-    yp = basis.chord_slope + (basis.cos_xk * (basis.freqs * a)).sum(axis=-1)
-    return y, yp
+    """Value and slope (y, y') of the trial curve with coefficients ``a``.
+
+    The terms are added one whole row at a time in index order, so the bits
+    do not depend on how a reduction or a BLAS build groups the sum.
+    """
+    slopes = basis.freqs * a
+    y = a[0] * basis.sin_xk[0]
+    yp = slopes[0] * basis.cos_xk[0]
+    for k in range(1, a.size):
+        y += a[k] * basis.sin_xk[k]
+        yp += slopes[k] * basis.cos_xk[k]
+    return basis.chord + y, basis.chord_slope + yp
 
 
 @functools.lru_cache(maxsize=8)
@@ -142,7 +152,6 @@ def minimize(
         raise ValueError(f"basis_size must be >= 1, got {basis_size}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    from scipy import optimize  # deferred: only this solver needs scipy
 
     def fun(a: np.ndarray) -> float:
         cand = RitzCandidate(a, span, end_ordinate, mesh_points)
@@ -150,21 +159,88 @@ def minimize(
 
     x0 = np.zeros(basis_size)
     simplex = np.vstack([x0, x0 + 0.1 * np.eye(basis_size)])
-    res = optimize.minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "maxfev": budget,
-            "xatol": 1e-8,
-            "fatol": 1e-8,
-        },
-    )
-    best = RitzCandidate(res.x, span, end_ordinate, mesh_points)
+    x, cost, evaluations, converged = _nelder_mead(fun, simplex, budget, xatol=1e-8, fatol=1e-8)
     return RitzResult(
-        candidate=best,
-        cost=float(res.fun),
-        evaluations=int(res.nfev),
-        converged=bool(res.success),
+        candidate=RitzCandidate(x, span, end_ordinate, mesh_points),
+        cost=cost,
+        evaluations=evaluations,
+        converged=converged,
     )
+
+
+class _BudgetSpent(Exception):
+    """Raised by the evaluation that would exceed the Nelder-Mead budget."""
+
+
+def _nelder_mead(fun, simplex: np.ndarray, budget: int, xatol: float, fatol: float):
+    """Minimize ``fun`` from ``simplex`` ((n + 1, n) vertices) by Nelder-Mead.
+
+    This is scipy's non-adaptive variant (reflection 1, expansion 2,
+    contraction 1/2, shrink 1/2) with the same arithmetic, ordering and
+    stopping rules, so it walks the same path as
+    ``scipy.optimize.minimize(method="Nelder-Mead")``: the search stops once
+    every vertex lies within ``xatol`` of the best in every coordinate and
+    within ``fatol`` of it in value, or at the call that would exceed
+    ``budget``, which ends the step in flight.  Returns (x, f, evaluations,
+    converged).
+    """
+    sim = np.array(simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    evaluations = 0
+
+    def f(x):
+        nonlocal evaluations
+        if evaluations >= budget:
+            raise _BudgetSpent
+        evaluations += 1
+        return fun(x)
+
+    try:
+        for j in range(n + 1):
+            fsim[j] = f(sim[j])
+    except _BudgetSpent:
+        pass
+    sim, fsim = _by_value(sim, fsim)
+    while evaluations < budget:
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+    # Only the stopping test ends the loop with budget to spare.
+    return sim[0], float(fsim[0]), evaluations, evaluations < budget
+
+
+def _by_value(sim: np.ndarray, fsim: np.ndarray):
+    """The simplex vertices and their values, best first."""
+    order = np.argsort(fsim)
+    return np.take(sim, order, 0), np.take(fsim, order, 0)
