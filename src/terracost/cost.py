@@ -43,8 +43,10 @@ where a stage transition's samples come from.  There are three sources:
   A stage ordinate is y_lo + k*delta, so sample j of the arc from ordinate
   k to ordinate s lies at entry (j, k*(q - j) + s*j) of the (q + 1, m)
   lattice (x_start + j*tau/q, y_lo + r*delta/q), one row per sample
-  abscissa, and every block of arcs gathers its samples from there by
-  index.  Only exact lattice ordinates gather; an off-lattice start or
+  abscissa.  That entry is affine in (k, s), so a block of arcs reads its
+  sample j as a strided view of lattice row j, with strides q - j and j,
+  and copies it once per row (picking the block's ordinates where a mask
+  leaves gaps).  Only exact lattice ordinates gather; an off-lattice start or
   terminal ordinate is priced directly.  The lattice's ordinates round
   differently from the arcs' own, so gathered values agree with direct
   ones to rounding only;
@@ -200,20 +202,24 @@ def _integrate(samples: _Samples, yp, h, shape, overwrite=False) -> SegmentTable
     full-shape arrays and are used as work space.
     """
     if samples.phi_x is None:
-        phi_arc = np.broadcast_to(np.sqrt(1.0 + yp * yp), shape)
+        phi_arc = np.sqrt(1.0 + yp * yp)
     else:
-        zp = np.broadcast_to(samples.phi_y, shape)
-        zp = np.multiply(zp, yp, out=samples.phi_y if overwrite else None)
+        zp = np.multiply(samples.phi_y, yp, out=samples.phi_y if overwrite else np.empty(shape))
         zp += samples.phi_x
         zp *= zp
         zp += 1.0 + yp * yp
         phi_arc = np.sqrt(zp, out=zp)
 
-    # Within-piece arc-length prefix (trapezoid prefix sums).
+    # Within-piece arc-length prefix (trapezoid prefix sums); a density
+    # without a sample axis has the same increment on every row.
     prefix = np.empty(shape)
     prefix[0] = 0.0
-    np.add(phi_arc[:-1], phi_arc[1:], out=prefix[1:])
-    prefix[1:] *= 0.5 * h
+    if phi_arc.ndim < len(shape):
+        prefix[1:] = (phi_arc + phi_arc) * (0.5 * h)
+        phi_arc = np.broadcast_to(phi_arc, shape)
+    else:
+        np.add(phi_arc[:-1], phi_arc[1:], out=prefix[1:])
+        prefix[1:] *= 0.5 * h
     _running_sum(prefix[1:])
     delta_len = prefix[-1].copy()
 
@@ -234,29 +240,42 @@ def _linear_points(q: int, x_start, tau, y_from, y_to):
 
 
 class _Lattice(NamedTuple):
-    # The fields sampled once on the fine lattice of one stage transition:
-    # (q + 1, m) arrays, sample axis first, entry (j, r) at
+    # The fields sampled once on the fine lattice of one stage transition,
+    # stacked as (fields, q + 1, m): alpha, beta (and phi_x, phi_y in full
+    # 3-D), sample axis next, entry (j, r) at
     # (x_start + j*tau/q, y_lo + delta*(k_lo*q + r)/q).  ``negative`` tells
     # whether some alpha or beta sample there is negative.
     y_lo: float
     delta: float
     k_lo: int
-    fields: _Samples
+    fields: np.ndarray
     negative: bool
 
     def gather(self, y_from, y_to) -> _Samples:
         # The samples of the arcs from the column y_from to the row y_to of
-        # lattice ordinates.  Sample j of the arc from ordinate k_lo + k to
-        # k_lo + s is entry (j, k*(q - j) + s*j).
-        rows, m = self.fields.alpha.shape
+        # sorted lattice ordinates.  Sample j of the arc from ordinate
+        # k_lo + k to k_lo + s is entry (j, k*(q - j) + s*j), affine in
+        # (k, s): a view of lattice row j with strides q - j and j, copied
+        # once per row, and picked at the block's ordinates on an axis
+        # where a mask leaves gaps.
+        nf, rows, m = self.fields.shape
         q = rows - 1
-        j = np.arange(rows)[:, None, None]
         kf, kt = (
-            np.rint((y - self.y_lo) / self.delta).astype(np.intp) - self.k_lo
+            np.rint((y - self.y_lo) / self.delta).astype(np.intp).ravel() - self.k_lo
             for y in (y_from, y_to)
         )
-        flat = (j * m + kf * (q - j)) + kt * j
-        return _Samples(*(None if v is None else v.take(flat) for v in self.fields))
+        f0, t0 = kf.min(), kt.min()
+        span = (nf, kf.max() - f0 + 1, kt.max() - t0 + 1)
+        pf = slice(None) if span[1] == kf.size else kf - f0
+        pt = slice(None) if span[2] == kt.size else kt - t0
+        step, item = self.fields.strides[0], self.fields.itemsize
+        out = np.empty((nf, rows, kf.size, kt.size))
+        for j in range(rows):
+            offset = (j * m + f0 * (q - j) + t0 * j) * item
+            strides = (step, (q - j) * item, j * item)
+            view = np.ndarray(span, self.fields.dtype, self.fields, offset, strides)
+            out[:, j] = view[:, pf][:, :, pt]
+        return _Samples(*out)
 
 
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
@@ -304,10 +323,8 @@ def _sample_lattice(model: CostModel, y_lo, delta, x_start, tau, y_from, y_to):
     ys = y_lo + delta * (np.arange(k_lo * q, k_hi * q + 1) / q)
     shape = (q + 1, ys.size)
     fields = _sample(model, xs[:, None], ys)
-    fields = _Samples(
-        *(None if v is None else np.ascontiguousarray(np.broadcast_to(v, shape)) for v in fields)
-    )
-    negative = bool((fields.alpha < 0).any() or (fields.beta < 0).any())
+    fields = np.stack([np.broadcast_to(v, shape) for v in fields if v is not None])
+    negative = bool((fields[:2] < 0).any())
     return _Lattice(y_lo, delta, k_lo, fields, negative)
 
 

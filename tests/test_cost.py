@@ -346,7 +346,7 @@ def test_gathered_tableau_equals_direct_pricing(make_spec):
     stage = delta * np.arange(65)
     for y_from, y_to in ((stage, stage), (stage[5:40], stage[20:])):
         samples = transition_samples(model, x0, tau, 0.0, delta, y_from, y_to)
-        assert samples.fields.alpha.shape == (17, (y_to[-1] - y_from[0]) / delta * 16 + 1)
+        assert samples.fields.shape[1:] == (17, (y_to[-1] - y_from[0]) / delta * 16 + 1)
         direct = segment_cost_batch(model, x0, tau, y_from, y_to)
         for block in (y_to, y_to[7:19]):
             gathered = segment_cost_batch(model, x0, tau, y_from, block, samples=samples)
@@ -365,9 +365,83 @@ def test_rates_are_checked_where_arcs_sample_them():
     delta = 1 / 64
     y_from, y_to = delta * np.arange(40), delta * np.arange(40, 80)
     samples = transition_samples(model, 0.0, 1.0, 0.0, delta, y_from, y_to)
-    assert samples.negative and samples.fields.alpha.min() < 0
+    assert samples.negative and samples.fields[0].min() < 0
     gathered = segment_cost_batch(model, 0.0, 1.0, y_from, y_to, samples=samples)
     assert_tableaux_close(gathered, segment_cost_batch(model, 0.0, 1.0, y_from, y_to), 1e-13)
+
+
+def reference_gather(lattice, y_from, y_to):
+    """Each field's samples of the arcs y_from x y_to, taken by flat index."""
+    _, rows, m = lattice.fields.shape
+    q = rows - 1
+    j = np.arange(rows)[:, None, None]
+    kf, kt = (
+        np.rint((y - lattice.y_lo) / lattice.delta).astype(np.intp) - lattice.k_lo
+        for y in (np.reshape(y_from, (-1, 1)), np.reshape(y_to, (1, -1)))
+    )
+    flat = j * m + kf * (q - j) + kt * j
+    return [field.take(flat) for field in lattice.fields]
+
+
+@pytest.mark.parametrize(
+    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
+)
+def test_gather_reads_each_arcs_lattice_entries(make_spec):
+    # Sample j of the arc from ordinate k_lo + k to k_lo + s is lattice
+    # entry (j, k*(q - j) + s*j), bit for bit, whether a block's ordinates
+    # are consecutive, leave a hole, are a single ordinate or start above
+    # the lattice's lowest ordinate.
+    model = make_spec().model
+    delta, tau, x0 = 1 / 64, 1 / 16, 0.3125
+    stage = delta * np.arange(3, 68)
+    holed = np.delete(stage, np.s_[20:31])
+    cases = [
+        # dense stages, and blocks that start above the lowest ordinate
+        (stage, stage, [(stage, stage), (stage, stage[7:19]), (stage[2:50], stage[40:41])]),
+        # stages with a hole
+        (holed, holed, [(holed, holed), (holed, holed[15:30]), (holed[10:], holed[:1])]),
+        # a single-ordinate stage on either side
+        (stage, stage[30:31], [(stage, stage[30:31]), (stage[9:], stage[30:31])]),
+        (stage[30:31], stage, [(stage[30:31], stage), (stage[30:31], stage[5:9])]),
+    ]
+    for y_from, y_to, blocks in cases:
+        lattice = cost._sample_lattice(model, 0.0, delta, x0, tau, y_from, y_to)
+        assert lattice.k_lo == 3
+        assert lattice.fields.shape[0] == (2 if model.mode is CostMode.FLAT_2D else 4)
+        for block_from, block_to in blocks:
+            gathered = lattice.gather(*cost._arc_axes(block_from, block_to))
+            fields = [v for v in gathered if v is not None]
+            reference = reference_gather(lattice, block_from, block_to)
+            assert len(fields) == len(reference)
+            for got, want in zip(fields, reference):
+                assert got.shape == (17, block_from.size, block_to.size)
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "y_from, y_to",
+    [
+        (0.3, 0.41),
+        (np.array([0.0, 0.2, 0.5]), np.array([0.1, 0.3, 0.45])),
+        cost._arc_axes(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)),
+    ],
+    ids=["single-arc", "one-row", "block"],
+)
+def test_constant_density_prefix_has_the_full_row_bits(y_from, y_to):
+    # A flat 2-D density has no sample axis: its prefix increments are
+    # computed once per piece and broadcast down the rows, with the bits of
+    # the full-row branch that a slope broadcast to the sample shape takes.
+    model = make_ridge2d_spec().model
+    q, tau, x0 = model.quadrature_subdivisions, 0.0625, 0.25
+    shape = (q + 1,) + np.broadcast(y_from, y_to).shape
+    samples = cost._sample(model, *cost._linear_points(q, x0, tau, y_from, y_to))
+    yp = np.subtract(y_to, y_from) / tau
+    assert np.ndim(yp) < len(shape)
+    once = cost._integrate(samples, yp, tau / q, shape)
+    rows = cost._integrate(samples, np.broadcast_to(yp, shape), tau / q, shape)
+    for got, want in zip(once, rows):
+        assert got.shape == want.shape == shape[1:]
+        assert np.array_equal(got, want)
 
 
 def test_off_lattice_ordinates_are_not_sampled():

@@ -16,6 +16,7 @@ from terracost import (
     NegativeRateError,
     ProblemSpec,
     build_grid,
+    cost,
     default_corridor,
     dp,
     field_from_expression,
@@ -211,20 +212,39 @@ def test_tie_breaks_choose_smallest_predecessor():
     assert traj.ys[1] == -0.25
 
 
+def make_holed_ridge2d_spec() -> ProblemSpec:
+    # A circular obstacle of radius 0.2 on the chord leaves the stages at
+    # 0.3 < x < 0.7 with a hole between their lower and upper ordinates.
+    mask = field_from_expression("0.04-(x-0.5)^2-(y-0.45)^2")
+    return dataclasses.replace(make_ridge2d_spec(), mask=mask)
+
+
 @pytest.mark.parametrize(
-    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
+    "make_spec",
+    [make_ridge2d_spec, make_relief3d_spec, make_holed_ridge2d_spec],
+    ids=["ridge2d", "relief3d", "holed-ridge2d"],
 )
 @pytest.mark.parametrize("threads", [1, 4], ids=["threads1", "threads4"])
 @pytest.mark.parametrize("block_arcs", [1, 7, None], ids=["block1", "block7", "default"])
 def test_threaded_solve_is_bit_identical(monkeypatch, make_spec, threads, block_arcs):
     # 65x65 pairs per stage fit in one default block, so blocks of 1 and 7
     # arcs are needed to cross block boundaries (7 also splits the first
-    # stage's 65 to-nodes unevenly).
+    # stage's 65 to-nodes unevenly).  With the obstacle, blocks gather
+    # from the stage lattice across the holes of their stages.
     spec = make_spec()
     grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
     reference = solve(grid, spec, threads=1)
     if block_arcs is not None:
         monkeypatch.setattr(dp, "_BLOCK_ARCS", block_arcs)
+    gapped = []
+    gather = cost._Lattice.gather
+
+    def recorded(lattice, y_from, y_to):
+        steps = (np.diff(np.ravel(y)) for y in (y_from, y_to))
+        gapped.append(any(np.any(step > 1.5 * lattice.delta) for step in steps))
+        return gather(lattice, y_from, y_to)
+
+    monkeypatch.setattr(cost._Lattice, "gather", recorded)
     run = solve(grid, spec, threads=threads)
     assert run.cost == reference.cost
     assert np.array_equal(run.ys, reference.ys)
@@ -232,6 +252,7 @@ def test_threaded_solve_is_bit_identical(monkeypatch, make_spec, threads, block_
         run.diagnostics.segment_cost_evaluations
         == reference.diagnostics.segment_cost_evaluations
     )
+    assert gapped and any(gapped) == (spec.mask is not None)
 
 
 def test_transition_memory_does_not_grow_with_the_lattice():
