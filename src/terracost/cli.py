@@ -10,6 +10,9 @@ Subcommands:
 * ``bench``    - run the sweep across halving levels and print evaluation
   counts, for complexity-scaling checks.
 
+``solve``, ``verify`` and ``bench`` load through :func:`_load`; every grid step
+delta and its epsilon = 0 caveat come from ``dp.refinement_schedule`` alone.
+
 Exit codes: 0 success, 1 configuration error, 2 solver error, 3 I/O error.
 
 Config files are JSON; see the README for the schema.  Every field is
@@ -24,6 +27,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,8 +139,7 @@ def _number(value, where: str, kind=float):
 
 
 def _field_config(raw, name: str) -> FieldConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"field '{name}' must be an object")
+    _object(raw, f"field '{name}'")
     expression = raw.get("expression")
     heightmap = raw.get("heightmap")
     if (expression is None) == (heightmap is None):
@@ -156,8 +159,8 @@ def load_config(path: str | Path) -> RunConfig:
 
     Defaults: q = 16, gamma = 1, epsilon = 0.5, m = 1, K = 10, M = 512;
     the corridor defaults to the endpoint bounding interval widened by 50%
-    per side.  epsilon = 0 is accepted but flagged with a warning, since
-    refinement convergence is then not guaranteed.
+    per side.  The grid step delta and its epsilon = 0 caveat (kept in
+    ``warnings``) come from :func:`terracost.dp.refinement_schedule`.
     """
     path = Path(path)
     try:
@@ -170,8 +173,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+    _object(raw, f"{path}: top level")
 
     problem_raw = _object(_require(raw, "problem", "config"), "problem")
     l = _number(_require(problem_raw, "l", "problem"), "problem.l")
@@ -217,20 +219,16 @@ def load_config(path: str | Path) -> RunConfig:
         if least is not None and value < least:
             raise ConfigError(f"solver.{name} must be >= {least}, got {value}")
         setattr(solver, name, value)
-    if solver.method in ("dp", "local"):
-        if not solver.gamma > 0:
-            raise ConfigError(f"solver.gamma must be positive, got {solver.gamma}")
-        if not solver.epsilon >= 0:
-            raise ConfigError(f"solver.epsilon must be >= 0, got {solver.epsilon}")
-        if solver.tau is not None:
-            if not 0 < solver.tau <= l:
-                raise ConfigError(f"solver.tau must be in (0, l = {l}], got {solver.tau}")
-            delta = solver.gamma * solver.tau ** (1.0 + solver.epsilon)
-            if not 0 < delta <= corridor[1] - corridor[0]:
-                raise ConfigError(
-                    f"grid step delta = gamma * tau^(1+epsilon) = {delta} must be in "
-                    f"(0, corridor height {corridor[1] - corridor[0]}]"
-                )
+    caveats = []
+    if solver.method in ("dp", "local") and solver.tau is not None:
+        if not 0 < solver.tau <= l:
+            raise ConfigError(f"solver.tau must be in (0, l = {l}], got {solver.tau}")
+        ((_, delta),), caveats = _schedule(solver, 0)
+        if not 0 < delta <= corridor[1] - corridor[0]:
+            raise ConfigError(
+                f"grid step delta = {delta} must be in "
+                f"(0, corridor height {corridor[1] - corridor[0]}]"
+            )
 
     output = OutputConfig()
     for key, value in _object(raw.get("output", {}), "output").items():
@@ -238,26 +236,34 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"unknown output option '{key}'")
         setattr(output, key, str(value))
 
-    gap_threshold = None
-    if "verify" in raw:
-        gap_threshold = _object(raw["verify"], "verify").get("gap_threshold")
-        if gap_threshold is not None:
-            gap_threshold = _number(gap_threshold, "verify.gap_threshold")
+    gap_threshold = _object(raw.get("verify", {}), "verify").get("gap_threshold")
+    if gap_threshold is not None:
+        gap_threshold = _number(gap_threshold, "verify.gap_threshold")
 
-    config = RunConfig(
+    return RunConfig(
         problem=problem,
         fields=fields,
         solver=solver,
         output=output,
         gap_threshold=gap_threshold,
         base_dir=path.parent,
+        warnings=caveats,
     )
-    if solver.method in ("dp", "local") and solver.epsilon == 0:
-        config.warnings.append(
-            "epsilon = 0: delta shrinks only proportionally to tau; refinement "
-            "convergence is not guaranteed"
-        )
-    return config
+
+
+def _schedule(solver: SolverConfig, k_max: int):
+    """dp's levels [(tau_k, delta_k)], k <= k_max, from solver.tau, and the
+    texts of its warnings (a run's are kept by load_config; solves drop them).
+    """
+    if solver.tau is None:
+        raise ConfigError(f"solver.method '{solver.method}' requires solver.tau")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            levels = dp.refinement_schedule(solver.tau, solver.gamma, solver.epsilon, k_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return levels, [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +315,9 @@ def realize(config: RunConfig) -> dp.ProblemSpec:
 # solving and emission
 
 
-def _tau(config: RunConfig) -> float:
-    s = config.solver
-    if s.tau is None:
-        raise ConfigError(f"solver.method '{s.method}' requires solver.tau")
-    return s.tau
-
-
 def _grid_for(config: RunConfig, spec: dp.ProblemSpec) -> dp.StageGrid:
-    tau = _tau(config)
-    s = config.solver
-    return dp.build_grid(spec, tau, s.gamma * tau ** (1.0 + s.epsilon))
+    ((tau, delta),), _ = _schedule(config.solver, 0)
+    return dp.build_grid(spec, tau, delta)
 
 
 def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int, threads: int):
@@ -327,8 +325,7 @@ def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int, threads: int):
 
     Returns one row per level (finest last) and the finest trajectory.
     """
-    s = config.solver
-    schedule = dp.refinement_schedule(_tau(config), s.gamma, s.epsilon, k_max)
+    schedule, _ = _schedule(config.solver, k_max)
     trajs = dp.solve_refined(spec, schedule, threads=threads)
     rows = []
     for (tau, delta), traj in zip(schedule, trajs):
@@ -458,29 +455,21 @@ def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, profile, repor
 # subcommands
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("TERRACOST_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring non-integer TERRACOST_THREADS={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
+def _load(args, grid_method: bool = False):
+    """Config and realized problem of a subcommand; prints its warnings."""
+    config = load_config(args.config)
+    spec = realize(config)
+    if grid_method and config.solver.method == "ritz":
+        raise ConfigError(f"{args.command} needs a grid method; set solver.method to 'dp'")
+    for message in config.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    return config, spec
 
 
 def _cmd_solve(args) -> int:
-    config = load_config(args.config)
-    spec = realize(config)
-    for message in config.warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    traj, report, profile = _solve(config, spec, _resolve_threads(args))
-    try:
-        paths = _write_outputs(config, spec, traj, profile, report, Path(args.out))
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+    config, spec = _load(args)
+    traj, report, profile = _solve(config, spec, args.threads)
+    paths = _write_outputs(config, spec, traj, profile, report, Path(args.out))
     print(f"J = {traj.cost:.6f} ({report['method']})")
     for p in paths:
         print(f"wrote {p}")
@@ -488,13 +477,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = load_config(args.config)
-    spec = realize(config)
-    if config.solver.method == "ritz":
-        raise ConfigError("verify needs a grid method; set solver.method to 'dp'")
+    config, spec = _load(args, grid_method=True)
     grid = _grid_for(config, spec)
     exact = oracle.enumerate_paths(grid, spec, cap=args.cap)
-    sweep = dp.solve(grid, spec, threads=_resolve_threads(args))
+    sweep = dp.solve(grid, spec, threads=args.threads)
     gap = sweep.cost - exact.best_cost
     print(f"paths evaluated:    {exact.paths_evaluated}")
     print(f"exhaustive minimum: {exact.best_cost!r}")
@@ -513,10 +499,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    try:
-        levels = dp.refinement_schedule(args.tau0, args.gamma, args.epsilon, args.levels - 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    solver = SolverConfig(tau=args.tau0, gamma=args.gamma, epsilon=args.epsilon)
+    levels, caveats = _schedule(solver, args.levels - 1)
+    for message in caveats:
+        print(f"warning: {message}", file=sys.stderr)
     print(f"{'k':>3} {'tau':>14} {'delta':>14}")
     for k, (tau, delta) in enumerate(levels):
         print(f"{k:>3} {tau:>14.8f} {delta:>14.8f}")
@@ -524,14 +510,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = load_config(args.config)
-    spec = realize(config)
-    if config.solver.method == "ritz":
-        raise ConfigError("bench needs a grid method; set solver.method to 'dp'")
-    if args.levels < 1:
-        raise ConfigError(f"--levels must be >= 1, got {args.levels}")
-    _tau(config)  # bench needs solver.tau
-    rows, _ = _ladder(config, spec, args.levels - 1, _resolve_threads(args))
+    config, spec = _load(args, grid_method=True)
+    rows, _ = _ladder(config, spec, args.levels - 1, args.threads)
     header = f"{'tau':>12} {'delta':>12} {'n':>5} {'N':>6} {'evals':>12} {'evals/stage':>12} {'J':>10} {'time[s]':>9}"
     print(header)
     for r in rows:
@@ -548,11 +528,7 @@ def _cmd_bench(args) -> int:
             f"per-stage x{per_stage:.2f}"
         )
     if args.out:
-        try:
-            Path(args.out).write_text(json.dumps(rows, indent=2) + "\n")
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return 3
+        Path(args.out).write_text(json.dumps(rows, indent=2) + "\n")
     return 0
 
 
@@ -562,17 +538,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum-construction-cost trajectories over terrain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = {"type": int, "default": os.cpu_count() or 1, "help": "worker cap"}
 
     p_solve = sub.add_parser("solve", help="run the configured solver")
     p_solve.add_argument("--config", required=True, help="path to JSON run config")
     p_solve.add_argument("--out", default=".", help="output directory")
-    p_solve.add_argument("--threads", type=int, default=None, help="worker cap")
+    p_solve.add_argument("--threads", **threads)
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="compare the sweep against enumeration")
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
-    p_verify.add_argument("--threads", type=int, default=None)
+    p_verify.add_argument("--threads", **threads)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_schedule = sub.add_parser("schedule", help="print the refinement table")
@@ -586,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--levels", type=int, default=3)
     p_bench.add_argument("--out", default=None, help="optional JSON output path")
-    p_bench.add_argument("--threads", type=int, default=None)
+    p_bench.add_argument("--threads", **threads)
     p_bench.set_defaults(handler=_cmd_bench)
 
     return parser
@@ -610,10 +587,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _reuse_freed_heap()
     try:
+        for flag in ("threads", "levels"):  # counts, on the subcommands that take them
+            if getattr(args, flag, 1) < 1:
+                raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
         return args.handler(args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # every other failure is the solver's
         print(f"solver error: {exc}", file=sys.stderr)
         return 2

@@ -306,18 +306,9 @@ def solve_refined(
 ) -> list[Trajectory]:
     """One solve per schedule level, finest last.
 
-    Each level's evaluation count is checked against the worst-case bound
-    N^2 * n (N = corridor lattice size, one unit per candidate arc).
+    Every stage is a subset of the N-point ordinate lattice, so a level
+    evaluates at most N^2 * n candidate arcs.
     """
     if not schedule:
         raise ValueError("schedule must contain at least one (tau, delta) level")
-    results = []
-    for tau, delta in schedule:
-        grid = build_grid(spec, tau, delta)
-        traj = solve(grid, spec, threads=threads)
-        bound = lattice_size(spec.corridor, delta) ** 2 * grid.n
-        used = traj.diagnostics.segment_cost_evaluations
-        if used > bound:
-            raise RuntimeError(f"evaluation count {used} exceeded the N^2*n bound {bound}")
-        results.append(traj)
-    return results
+    return [solve(build_grid(spec, tau, delta), spec, threads=threads) for tau, delta in schedule]

@@ -17,7 +17,7 @@ import numpy as np
 from . import dp
 from .cost import segment_cost_batch
 
-__all__ = ["EnumerationResult", "dp_gap", "enumerate_paths"]
+__all__ = ["EnumerationResult", "enumerate_paths"]
 
 DEFAULT_CAP = 10**6
 
@@ -95,20 +95,3 @@ def enumerate_paths(
         additive=additive,
         costs=costs if keep_costs else None,
     )
-
-
-def dp_gap(grid: dp.StageGrid, spec: dp.ProblemSpec, cap: int = DEFAULT_CAP) -> float:
-    """Forward-sweep cost minus the exhaustive minimum, as a non-negative gap.
-
-    The sweep explores the same path space with scalar labels, so its result
-    can never beat the enumeration; a negative difference beyond rounding
-    would be a bug and raises.
-    """
-    sweep_cost = dp.solve(grid, spec).cost
-    exact = enumerate_paths(grid, spec, cap=cap)
-    diff = sweep_cost - exact.best_cost
-    if diff < -1e-12:
-        raise RuntimeError(
-            f"forward sweep undercut exhaustive enumeration by {-diff:.3e}"
-        )
-    return max(0.0, diff)

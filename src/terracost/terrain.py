@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class FieldDomainError(ValueError):
     """A query fell outside the region where the field is defined."""
 
 
-@runtime_checkable
 class ScalarField2D(Protocol):
     """A twice-differentiable real function of (x, y), queried pointwise."""
 

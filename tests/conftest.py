@@ -30,6 +30,7 @@ from terracost import (
     field_from_expression,
     field_from_heightmap,
     localsearch,
+    oracle,
     ritz,
 )
 from terracost import cost
@@ -103,6 +104,23 @@ def record_stage_lattices(monkeypatch) -> list:
 
     monkeypatch.setattr(dp, "sample_transitions", recorded)
     return lattices
+
+
+def dp_gap(grid, spec: ProblemSpec, cap: int = oracle.DEFAULT_CAP) -> float:
+    """Forward-sweep cost minus the exhaustive minimum, as a non-negative gap.
+
+    The sweep explores the same path space with scalar labels, so its result
+    can never beat the enumeration; a negative difference beyond rounding
+    would be a bug and raises.
+    """
+    sweep_cost = dp.solve(grid, spec).cost
+    exact = oracle.enumerate_paths(grid, spec, cap=cap)
+    diff = sweep_cost - exact.best_cost
+    if diff < -1e-12:
+        raise RuntimeError(
+            f"forward sweep undercut exhaustive enumeration by {-diff:.3e}"
+        )
+    return max(0.0, diff)
 
 
 def make_flat_spec(alpha: str = "0", beta: str = "1") -> ProblemSpec:

@@ -33,12 +33,13 @@ from terracost import (
     ritz,
 )
 from terracost.cli import main as cli_main
-from terracost.oracle import dp_gap, enumerate_paths
+from terracost.oracle import enumerate_paths
 
 from conftest import (
     RIDGE_ALPHA,
     RIDGE_BETA,
     RELIEF_PHI,
+    dp_gap,
     make_flat_spec,
     make_ridge2d_spec,
 )

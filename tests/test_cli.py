@@ -244,76 +244,117 @@ def test_missing_heightmap_exits_1_naming_path(tmp_path, capsys):
 
 
 NEGATIVE_ALPHA = {"alpha": {"expression": "-1"}, "beta": {"expression": "1"}}
+RITZ = {"method": "ritz", "K": 2, "budget": 10}
 
 
 @pytest.mark.parametrize(
-    "argv, overrides",
+    "argv, config, message",
     [
         pytest.param(
-            ["solve"], {"solver": {"method": "dp", "tau": 0.125, "q": 15}}, id="odd-q"
+            ["solve"],
+            {"solver": {"method": "dp", "tau": 0.125, "q": 15}},
+            "quadrature_subdivisions must be even",
+            id="odd-q",
         ),
         pytest.param(
-            ["solve"], {"solver": {"method": "dp", "tau": "abc"}}, id="tau-not-a-number"
+            ["solve"],
+            {"solver": {"method": "dp", "tau": "abc"}},
+            "solver.tau must be a finite number, got 'abc'",
+            id="tau-not-a-number",
         ),
-        pytest.param(["solve"], {"verify": 5}, id="verify-not-an-object"),
-        pytest.param(["solve"], {"problem": 5}, id="problem-not-an-object"),
+        pytest.param(
+            ["solve"], {"verify": 5}, "verify must be a JSON object", id="verify-not-an-object"
+        ),
+        pytest.param(
+            ["solve"], {"problem": 5}, "problem must be a JSON object", id="problem-not-an-object"
+        ),
         pytest.param(
             ["solve"],
             {"problem": {"l": 1.0, "y_l": 1.0, "mode": ["flat2d"]}},
+            "problem.mode must be one of",
             id="mode-not-a-string",
         ),
         pytest.param(
             ["solve"],
             {"fields": {"alpha": {"expression": 0}, "beta": {"heightmap": 5}}},
+            "field 'alpha' needs a string expression or heightmap path",
             id="field-not-a-string",
         ),
-        pytest.param(["solve"], {"solver": {"method": "dp", "tau": 2}}, id="tau-above-span"),
         pytest.param(
-            ["solve"], {"solver": {"method": "local", "tau": 0.125, "m": 0}}, id="local-m-0"
+            ["solve"],
+            {"solver": {"method": "dp", "tau": 2}},
+            "solver.tau must be in (0, l = 1.0], got 2.0",
+            id="tau-above-span",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "local", "tau": 0.125, "m": 0}},
+            "solver.m must be >= 1, got 0",
+            id="local-m-0",
         ),
         pytest.param(
             ["solve"],
             {"solver": {"method": "local", "tau": 0.125, "max_iter": 0}},
+            "solver.max_iter must be >= 1, got 0",
             id="local-max-iter-0",
         ),
         # A heightmap path that exists but cannot be read (a directory).
         pytest.param(
-            ["solve"], {"fields": {"alpha": {"expression": "0"}, "beta": {"heightmap": "."}}},
+            ["solve"],
+            {"fields": {"alpha": {"expression": "0"}, "beta": {"heightmap": "."}}},
+            "field 'beta': ",
             id="heightmap-is-a-directory",
         ),
         pytest.param(
-            ["verify"], {"fields": {"alpha": {"expression": "0"}, "beta": {"heightmap": "."}}},
+            ["verify"],
+            {"fields": {"alpha": {"expression": "0"}, "beta": {"heightmap": "."}}},
+            "field 'beta': ",
             id="verify-heightmap-is-a-directory",
         ),
-        pytest.param(["bench", "--levels", "0"], {}, id="bench-levels-0"),
-        pytest.param(["solve"], {"fields": NEGATIVE_ALPHA}, id="negative-alpha"),
+        pytest.param(
+            ["bench", "--levels", "0"], {}, "--levels must be >= 1, got 0", id="bench-levels-0"
+        ),
+        pytest.param(
+            ["solve"],
+            {"fields": NEGATIVE_ALPHA},
+            "rate field 'alpha' is negative",
+            id="negative-alpha",
+        ),
         pytest.param(
             ["solve"],
             {"fields": NEGATIVE_ALPHA, "solver": {"method": "local", "tau": 0.125}},
+            "rate field 'alpha' is negative",
             id="negative-alpha-local",
         ),
         pytest.param(
             ["solve"],
-            {"fields": NEGATIVE_ALPHA, "solver": {"method": "ritz", "K": 2, "budget": 10}},
+            {"fields": NEGATIVE_ALPHA, "solver": RITZ},
+            "rate field 'alpha' is negative",
             id="negative-alpha-ritz",
         ),
         pytest.param(
             ["verify"],
             {"fields": NEGATIVE_ALPHA, "solver": {"method": "dp", "tau": 0.25}},
+            "rate field 'alpha' is negative",
             id="verify-negative-alpha",
         ),
         pytest.param(
-            ["bench", "--levels", "1"], {"fields": NEGATIVE_ALPHA}, id="bench-negative-alpha"
+            ["bench", "--levels", "1"],
+            {"fields": NEGATIVE_ALPHA},
+            "rate field 'alpha' is negative",
+            id="bench-negative-alpha",
         ),
         pytest.param(
             ["solve"],
             {"fields": {"alpha": {"expression": "0"}, "beta": {"expression": "x-0.5"}}},
+            "rate field 'beta' is negative",
             id="negative-beta",
         ),
         # JSON admits NaN and Infinity; json.dumps writes them as such.
         pytest.param(
             ["solve"],
             {"problem": {"l": float("inf"), "y_l": 1.0, "corridor": [0.0, 1.0]}},
+            "problem.l must be a finite number, got inf",
             id="l-infinite",
         ),
         pytest.param(
@@ -322,30 +363,114 @@ NEGATIVE_ALPHA = {"alpha": {"expression": "-1"}, "beta": {"expression": "1"}}
                 "problem": {"l": 1.0, "y_l": float("inf")},
                 "solver": {"method": "local", "tau": 0.125},
             },
+            "problem.y_l must be a finite number, got inf",
             id="y_l-infinite-local",
         ),
         pytest.param(
             ["solve"],
             {
                 "problem": {"l": float("nan"), "y_l": 1.0, "corridor": [0.0, 1.0]},
-                "solver": {"method": "ritz", "K": 2, "budget": 10},
+                "solver": RITZ,
             },
+            "problem.l must be a finite number, got nan",
             id="l-nan-ritz",
         ),
         pytest.param(
             ["verify"],
-            {"solver": {"method": "dp", "tau": 0.25}, "verify": {"gap_threshold": float("nan")}},
+            {
+                "solver": {"method": "dp", "tau": 0.25},
+                "verify": {"gap_threshold": float("nan")},
+            },
+            "verify.gap_threshold must be a finite number, got nan",
             id="verify-gap-threshold-nan",
+        ),
+        pytest.param(
+            ["solve"],
+            {"problem": {"l": 1.0}},
+            "missing required field 'y_l' in problem",
+            id="missing-required-key",
+        ),
+        pytest.param(
+            ["solve"],
+            {"fields": {"alpha": "0", "beta": {"expression": "1"}}},
+            "field 'alpha' must be a JSON object",
+            id="field-not-an-object",
+        ),
+        pytest.param(
+            ["solve"],
+            {"fields": {"alpha": {"expression": "0", "scale": 2}, "beta": {"expression": "1"}}},
+            "field 'alpha' has unknown keys ['scale']",
+            id="field-unknown-keys",
+        ),
+        # A str is the config file's text; None leaves the config path unwritten.
+        pytest.param(["solve"], None, "cannot read config file", id="config-unreadable"),
+        pytest.param(
+            ["solve"], "[1, 2]", "top level must be a JSON object", id="top-level-not-an-object"
+        ),
+        pytest.param(
+            ["solve"],
+            {"problem": {"l": 1.0, "y_l": 1.0, "corridor": [0.0, 0.5, 1.0]}},
+            "problem.corridor must be [y_lo, y_hi]",
+            id="corridor-not-a-pair",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "bfs"}},
+            "solver.method must be one of",
+            id="unknown-method",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "dp", "tau": 0.25, "gamma": 0}},
+            "gamma must be positive, got 0.0",
+            id="gamma-0",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "local", "tau": 0.25, "epsilon": -0.5}},
+            "epsilon must be non-negative, got -0.5",
+            id="epsilon-negative",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "dp", "tau": 0.25, "gamma": 10}},
+            "grid step delta = 1.25 must be in (0, corridor height 1.0]",
+            id="delta-above-corridor-height",
+        ),
+        pytest.param(
+            ["solve"],
+            {"output": {"svg": "plot.svg"}},
+            "unknown output option 'svg'",
+            id="unknown-output-key",
+        ),
+        pytest.param(
+            ["solve"],
+            {"fields": {"alpha": {"expression": "1+*x"}, "beta": {"expression": "1"}}},
+            "field 'alpha': ",
+            id="expression-syntax-error",
+        ),
+        pytest.param(["verify"], {"solver": RITZ}, "verify needs a grid method", id="verify-ritz"),
+        pytest.param(
+            ["bench", "--levels", "1"],
+            {"solver": RITZ},
+            "bench needs a grid method",
+            id="bench-ritz",
         ),
     ],
 )
-def test_bad_config_exits_1_with_config_error(tmp_path, capsys, argv, overrides):
-    config = write_config(tmp_path, **overrides)
+def test_bad_config_exits_1_with_config_error(tmp_path, capsys, argv, config, message):
+    if isinstance(config, dict):
+        path = write_config(tmp_path, **config)
+    else:
+        path = tmp_path / "config.json"
+        if config is not None:
+            path.write_text(config)
     out = tmp_path / "run"
     extra = ["--out", str(out)] if argv[0] == "solve" else []
-    assert main([*argv, "--config", str(config), *extra]) == 1
+    assert main([*argv, "--config", str(path), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert message in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -405,6 +530,14 @@ def test_unwritable_output_exits_3(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("")  # file where the output directory should go
     assert main(["solve", "--config", str(config), "--out", str(blocker)]) == 3
+
+
+def test_unwritable_bench_output_exits_3(tmp_path, capsys):
+    config = write_config(tmp_path, solver={"method": "dp", "tau": 0.25})
+    # A directory where the JSON file should go.
+    argv = ["bench", "--config", str(config), "--levels", "1", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("I/O error:")
 
 
 def test_heightmap_field_via_cli(tmp_path):
@@ -475,18 +608,44 @@ def test_epsilon_zero_warning_lands_in_report_and_stderr(tmp_path, capsys):
     )
     out = tmp_path / "warn_run"
     assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
-    assert "epsilon = 0" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
-    assert any("epsilon = 0" in w for w in report["warnings"])
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith("epsilon = 0 ")
+    assert capsys.readouterr().err.splitlines() == [f"warning: {report['warnings'][0]}"]
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["solve", "verify", "bench"])
+def test_threads_below_one_is_config_error(tmp_path, capsys, command):
     config = write_config(tmp_path)
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    main(["solve", "--config", str(config), "--out", str(out1), "--threads", "1"])
-    monkeypatch.setenv("TERRACOST_THREADS", "2")
-    main(["solve", "--config", str(config), "--out", str(out2)])
-    assert (out1 / "traj.csv").read_bytes() == (out2 / "traj.csv").read_bytes()
+    out = tmp_path / "run"
+    extra = ["--out", str(out)] if command == "solve" else []
+    assert main([command, "--config", str(config), "--threads", "0", *extra]) == 1
+    assert capsys.readouterr().err.strip() == "config error: --threads must be >= 1, got 0"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, solver",
+    [
+        pytest.param(["solve"], {"refine_levels": 1}, id="solve-refine-levels"),
+        pytest.param(["solve"], {"method": "local"}, id="solve-local"),
+        pytest.param(["verify"], {}, id="verify"),
+        pytest.param(["bench", "--levels", "2"], {}, id="bench"),
+    ],
+)
+def test_epsilon_zero_caveat_is_one_warning_line(tmp_path, capsys, recwarn, argv, solver):
+    # dp.refinement_schedule states the caveat; the CLI prints it once, as a
+    # warning line, and it never surfaces as a Python warning.
+    config = write_config(
+        tmp_path, solver={"method": "dp", "tau": 0.25, "epsilon": 0, **solver}
+    )
+    out = tmp_path / "run"
+    extra = ["--out", str(out)] if argv[0] == "solve" else []
+    assert main([*argv, "--config", str(config), *extra]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: epsilon = 0 ")
+    assert not recwarn.list
 
 
 def test_refine_levels_reported(tmp_path):
@@ -553,6 +712,31 @@ def test_verify_alpha_vanishing_at_the_stages_is_informational(tmp_path, capsys)
     assert float(gap_line.split()[-1]) > 1e-9
 
 
+COSTLIER_WINDOW = {
+    "problem": {"l": 1.0, "y_l": -0.9, "corridor": [-1.5, 1.5], "mode": "flat2d"},
+    "fields": {
+        "alpha": {"expression": "3.43*(1+sin(7.371*x)*cos(2.845*y))"},
+        "beta": {"expression": "0.456"},
+    },
+    # delta = 2 * 0.25^1.5 = 0.25
+    "solver": {"method": "dp", "tau": 0.25, "gamma": 2, "epsilon": 0.5, "q": 4},
+}
+
+
+def test_verify_gap_above_threshold_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, **COSTLIER_WINDOW, verify={"gap_threshold": 0})
+    assert main(["verify", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    gap_line = next(line for line in captured.out.splitlines() if line.startswith("gap:"))
+    assert float(gap_line.split()[-1]) == pytest.approx(0.0130143, abs=1e-7)
+    assert "gap exceeds threshold 0.0" in captured.err
+
+
+def test_verify_gap_without_threshold_is_informational(tmp_path):
+    config = write_config(tmp_path, **COSTLIER_WINDOW)
+    assert main(["verify", "--config", str(config)]) == 0
+
+
 def test_verify_cap_exceeded_exits_2(tmp_path, capsys):
     config = write_config(
         tmp_path, solver={"method": "dp", "tau": 1 / 16, "epsilon": 0.5}
@@ -574,6 +758,21 @@ def test_schedule_prints_table(capsys):
 
 def test_schedule_rejects_bad_gamma(capsys):
     assert main(["schedule", "--tau0", "0.25", "--gamma", "-1"]) == 1
+
+
+def test_schedule_epsilon_zero_caveat_is_one_warning_line(capsys, recwarn):
+    assert main(["schedule", "--tau0", "0.25", "--epsilon", "0", "--levels", "2"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: epsilon = 0 ")
+    assert not recwarn.list
+
+
+def test_schedule_rejects_levels_below_one(capsys):
+    assert main(["schedule", "--tau0", "0.25", "--levels", "0"]) == 1
+    assert capsys.readouterr().err.strip() == "config error: --levels must be >= 1, got 0"
 
 
 def test_bench_reports_growth(tmp_path, capsys):

@@ -9,13 +9,17 @@ import numpy as np
 import pytest
 
 from terracost import (
+    CostMode,
+    CostModel,
     NegativeRateError,
     ProblemSpec,
     build_grid,
     dp,
     field_from_expression,
     localsearch,
+    path_cost,
 )
+from terracost.oracle import enumerate_paths
 
 from conftest import (
     make_flat_spec,
@@ -68,8 +72,6 @@ def test_chord_snaps_to_nearest_feasible():
 
 
 def test_initial_incumbent_cost_matches_path_cost():
-    from terracost import path_cost
-
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.5)
     inc = localsearch.initial_incumbent(grid, spec)
@@ -107,6 +109,41 @@ def test_step_requires_positive_window():
     inc = localsearch.initial_incumbent(grid, spec)
     with pytest.raises(ValueError, match="m must be >= 1"):
         localsearch.step(inc, 0, grid, spec)
+
+
+def make_costlier_window_spec() -> ProblemSpec:
+    """A delivery rate strong enough that a window sweep can lose to its incumbent."""
+    model = CostModel(
+        alpha=field_from_expression("3.43*(1+sin(7.371*x)*cos(2.845*y))"),
+        beta=field_from_expression("0.456"),
+        mode=CostMode.FLAT_2D,
+        quadrature_subdivisions=4,
+    )
+    return ProblemSpec(l=1.0, y_l=-0.9, corridor=(-1.5, 1.5), model=model)
+
+
+def test_step_keeps_an_incumbent_cheaper_than_its_window_sweep():
+    spec = make_costlier_window_spec()
+    grid = build_grid(spec, 0.25, 0.25)
+    optimum = np.array([0.0, 0.0, -0.25, -0.5, -0.9])
+    cost = path_cost(spec.model, grid.xs, optimum)
+    assert cost == pytest.approx(3.548971, abs=1e-6)
+    assert cost == enumerate_paths(grid, spec).best_cost
+    # The scalar-label sweep over the m = 1 windows prices a costlier path.
+    reach = 1.5 * grid.delta
+    windows = [stage[np.abs(stage - y) <= reach] for stage, y in zip(grid.stages, optimum)]
+    sweep = dp.solve(dataclasses.replace(grid, stages=windows), spec)
+    assert sweep.ys.tolist() == [0.0, 0.0, 0.0, -0.25, -0.9]
+    assert sweep.cost == pytest.approx(3.561985, abs=1e-6)
+
+    stepped = localsearch.step(localsearch.Incumbent(optimum, cost, 0), 1, grid, spec)
+    assert np.array_equal(stepped.ys, optimum)
+    assert stepped.cost == cost
+    traj = localsearch.run(spec, grid, m=1)
+    assert np.array_equal(traj.ys, optimum)
+    assert traj.cost == cost
+    assert traj.diagnostics.iterations == 2
+    assert not traj.diagnostics.hit_max_iter
 
 
 def test_fixed_point_is_idempotent():

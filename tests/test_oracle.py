@@ -20,9 +20,9 @@ from terracost import (
     field_from_expression,
     segment_cost_batch,
 )
-from terracost.oracle import dp_gap, enumerate_paths
+from terracost.oracle import enumerate_paths
 
-from conftest import RIDGE_ALPHA, RIDGE_BETA, make_flat_spec, make_ridge2d_spec
+from conftest import RIDGE_ALPHA, RIDGE_BETA, dp_gap, make_flat_spec, make_ridge2d_spec
 
 
 def random_instance(rng, zero_alpha: bool):
