@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
@@ -320,13 +319,13 @@ def _grid_for(config: RunConfig, spec: dp.ProblemSpec) -> dp.StageGrid:
     return dp.build_grid(spec, tau, delta)
 
 
-def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int, threads: int):
+def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int):
     """Solve the halving schedule from solver.tau through ``dp.solve_refined``.
 
     Returns one row per level (finest last) and the finest trajectory.
     """
     schedule, _ = _schedule(config.solver, k_max)
-    trajs = dp.solve_refined(spec, schedule, threads=threads)
+    trajs = dp.solve_refined(spec, schedule)
     rows = []
     for (tau, delta), traj in zip(schedule, trajs):
         n = traj.xs.size - 1
@@ -346,7 +345,7 @@ def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int, threads: int):
     return rows, trajs[-1]
 
 
-def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
+def _solve(config: RunConfig, spec: dp.ProblemSpec):
     """Dispatch on solver.method.
 
     Returns the trajectory, the report dict and the trajectory's
@@ -385,7 +384,7 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
         return traj, report, (cum_len, cum_cost)
 
     if s.method == "dp" and s.refine_levels > 0:
-        rows, traj = _ladder(config, spec, s.refine_levels, threads)
+        rows, traj = _ladder(config, spec, s.refine_levels)
         report["levels"] = [
             {key: row[key] for key in ("tau", "delta", "J", "segment_cost_evaluations")}
             for row in rows
@@ -400,7 +399,7 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec, threads: int):
             "lattice_size": dp.lattice_size(spec.corridor, grid.delta),
         }
         if s.method == "dp":
-            traj = dp.solve(grid, spec, threads=threads)
+            traj = dp.solve(grid, spec)
         else:  # local
             traj = localsearch.run(spec, grid, m=s.m, max_iter=s.max_iter)
             report["iterations"] = traj.diagnostics.iterations
@@ -468,7 +467,7 @@ def _load(args, grid_method: bool = False):
 
 def _cmd_solve(args) -> int:
     config, spec = _load(args)
-    traj, report, profile = _solve(config, spec, args.threads)
+    traj, report, profile = _solve(config, spec)
     paths = _write_outputs(config, spec, traj, profile, report, Path(args.out))
     print(f"J = {traj.cost:.6f} ({report['method']})")
     for p in paths:
@@ -480,7 +479,7 @@ def _cmd_verify(args) -> int:
     config, spec = _load(args, grid_method=True)
     grid = _grid_for(config, spec)
     exact = oracle.enumerate_paths(grid, spec, cap=args.cap)
-    sweep = dp.solve(grid, spec, threads=args.threads)
+    sweep = dp.solve(grid, spec)
     gap = sweep.cost - exact.best_cost
     print(f"paths evaluated:    {exact.paths_evaluated}")
     print(f"exhaustive minimum: {exact.best_cost!r}")
@@ -500,7 +499,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_schedule(args) -> int:
     solver = SolverConfig(tau=args.tau0, gamma=args.gamma, epsilon=args.epsilon)
-    levels, caveats = _schedule(solver, args.levels - 1)
+    try:
+        levels, caveats = _schedule(solver, args.levels - 1)
+    except ConfigError as exc:  # name the flag the user typed: tau_0 is --tau0
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"--{name.replace('_', '')} {rest}") from exc
     for message in caveats:
         print(f"warning: {message}", file=sys.stderr)
     print(f"{'k':>3} {'tau':>14} {'delta':>14}")
@@ -511,7 +514,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_bench(args) -> int:
     config, spec = _load(args, grid_method=True)
-    rows, _ = _ladder(config, spec, args.levels - 1, args.threads)
+    rows, _ = _ladder(config, spec, args.levels - 1)
     header = f"{'tau':>12} {'delta':>12} {'n':>5} {'N':>6} {'evals':>12} {'evals/stage':>12} {'J':>10} {'time[s]':>9}"
     print(header)
     for r in rows:
@@ -538,18 +541,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum-construction-cost trajectories over terrain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads = {"type": int, "default": os.cpu_count() or 1, "help": "worker cap"}
 
     p_solve = sub.add_parser("solve", help="run the configured solver")
     p_solve.add_argument("--config", required=True, help="path to JSON run config")
     p_solve.add_argument("--out", default=".", help="output directory")
-    p_solve.add_argument("--threads", **threads)
+    # Accepted for scripts that pass it; every solve runs on one thread.
+    p_solve.add_argument("--threads", type=int, default=1, help="solves run on one thread")
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="compare the sweep against enumeration")
     p_verify.add_argument("--config", required=True)
     p_verify.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
-    p_verify.add_argument("--threads", **threads)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_schedule = sub.add_parser("schedule", help="print the refinement table")
@@ -563,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--levels", type=int, default=3)
     p_bench.add_argument("--out", default=None, help="optional JSON output path")
-    p_bench.add_argument("--threads", **threads)
     p_bench.set_defaults(handler=_cmd_bench)
 
     return parser
@@ -587,7 +588,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _reuse_freed_heap()
     try:
-        for flag in ("threads", "levels"):  # counts, on the subcommands that take them
+        for flag in ("threads", "levels", "cap"):  # counts, on the subcommands that take them
             if getattr(args, flag, 1) < 1:
                 raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
         return args.handler(args)

@@ -421,7 +421,7 @@ def path_cost_profile(model: CostModel, xs, ys):
     """Cost of a polyline plus its cumulative length/cost per knot.
 
     Returns (total_cost, cum_length, cum_cost).  All segments are priced in
-    one kernel call, and the prefix length threads through them in the stage
+    one kernel call, and the prefix length is carried through them in the stage
     sweep's (total + fixed) + length * slope order.  A solver that prices
     each arc from its own samples therefore reports the cost this evaluation
     gives its knots bit for bit: a sweep whose transitions all price their
@@ -476,7 +476,7 @@ def smooth_path_cost(model: CostModel, xs, ys, yp, h) -> float:
 
     ``ys`` and ``yp`` are the exact curve y(x) and its slope at the mesh
     samples ``xs`` (no chord approximation); each cell is integrated by the
-    composite trapezoid scheme and the prefix length threads across cells.
+    composite trapezoid scheme and the prefix length is carried across cells.
     """
     samples = _sample(model, xs, ys)
     _check_rates(samples, ys.shape, lambda: (xs, ys))

@@ -19,10 +19,10 @@ measures the gap).
 A stage transition is relaxed in blocks of to-nodes of at most 8,192
 candidate arcs, so its memory no longer grows as N^2*q with the lattice
 size N.  A to-node's minimum reads only its own column of candidates, so
-results are bit-identical for any block split and any thread count (blocks
-are mapped over a thread pool).  A label that is not finite (singular or
-overflowing fields) stops the sweep with an error naming its stage, so it
-can never pick a path.
+results are bit-identical for any block split; blocks run one after another
+on the calling thread.  A label that is not finite (singular or overflowing
+fields) stops the sweep with an error naming its stage, so it can never pick
+a path.
 
 Where each transition's field samples come from (its arcs' own points, a
 stage lattice sampled once, or a run of transitions sampled in one call)
@@ -39,11 +39,8 @@ longer guaranteed.
 
 from __future__ import annotations
 
-import functools
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,7 +186,7 @@ def build_grid(spec: ProblemSpec, tau: float, delta: float) -> StageGrid:
     return StageGrid(tau=tau, delta=delta, n=n, xs=xs, stages=stages)
 
 
-def _relax(model: CostModel, x_start, tau, y_from, d, length, y_to, samples=None):
+def _relax(model: CostModel, x_start, tau, y_from, d, length, y_to, samples):
     """Best predecessor, cost-to-come and prefix length for a block of to-nodes.
 
     Ties pick the smallest predecessor index (argmin returns the first minimum).
@@ -201,14 +198,14 @@ def _relax(model: CostModel, x_start, tau, y_from, d, length, y_to, samples=None
     return best, candidates[best, cols], length[best] + tab.delta_len[best, cols]
 
 
-def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None):
+def _sweep(grid: StageGrid, spec: ProblemSpec):
     """Forward pass over all stages.
 
     Every transition is relaxed in blocks of at most ``_BLOCK_ARCS``
-    candidate arcs (at least one to-node each), mapped serially or over the
-    executor's threads; a run of transitions sampled together fits in one
-    block.  Returns the predecessor arrays of stages 1..n, the terminal
-    cost-to-come labels and the evaluation count.
+    candidate arcs (at least one to-node each), one after another; a run of
+    transitions sampled together fits in one block.  Returns the
+    predecessor arrays of stages 1..n, the terminal cost-to-come labels and
+    the evaluation count.
     """
     d = np.zeros(1)
     length = np.zeros(1)
@@ -222,16 +219,15 @@ def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None):
         spec.model, transitions, spec.corridor[0], grid.delta, _BLOCK_ARCS
     )
     for i, ((x_start, tau, y_from, y_to), samples) in enumerate(zip(transitions, entries)):
-        relax = functools.partial(
-            _relax, spec.model, x_start, tau, y_from, d, length, samples=samples
-        )
+        best = np.empty(y_to.size, dtype=np.intp)
+        d_to, length_to = np.empty(y_to.size), np.empty(y_to.size)
         width = max(1, _BLOCK_ARCS // y_from.size)
-        if y_to.size <= width:
-            best, d, length = relax(y_to)
-        else:
-            blocks = [y_to[s : s + width] for s in range(0, y_to.size, width)]
-            mapper = map if executor is None else executor.map
-            best, d, length = map(np.concatenate, zip(*mapper(relax, blocks)))
+        for s in range(0, y_to.size, width):
+            block = slice(s, s + width)
+            best[block], d_to[block], length_to[block] = _relax(
+                spec.model, x_start, tau, y_from, d, length, y_to[block], samples
+            )
+        d, length = d_to, length_to
         evaluations += y_from.size * y_to.size
         if not np.all(np.isfinite(d)):
             x = float(grid.xs[i + 1])
@@ -243,21 +239,18 @@ def _sweep(grid: StageGrid, spec: ProblemSpec, executor=None):
     return preds, d, evaluations
 
 
-def solve(grid: StageGrid, spec: ProblemSpec, threads: int = 1) -> Trajectory:
+def solve(grid: StageGrid, spec: ProblemSpec) -> Trajectory:
     """Run the forward sweep and backtrack the optimal polyline.
 
-    The blocks of one stage transition may be relaxed in parallel
-    (``threads`` > 1); results are independent of the thread count, of the
-    block split and, for fields evaluated pointwise, of how transitions are
-    grouped into runs for field sampling, bit for bit.  The returned
-    trajectory's cost is the terminal label, which by construction of the
-    prefix threading equals the polyline's path cost (to rounding where arcs
-    gather their samples from a stage lattice).
+    Results are independent of the block split and, for fields evaluated
+    pointwise, of how transitions are grouped into runs for field sampling,
+    bit for bit.  The returned trajectory's cost is the terminal label,
+    which by construction of the prefix threading equals the polyline's
+    path cost (to rounding where arcs gather their samples from a stage
+    lattice).
     """
     t0 = time.perf_counter()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
-    with pool as executor:
-        preds, terminal_d, evaluations = _sweep(grid, spec, executor)
+    preds, terminal_d, evaluations = _sweep(grid, spec)
     idx = [0]
     for best in reversed(preds):
         idx.append(int(best[idx[-1]]))
@@ -277,6 +270,9 @@ def refinement_schedule(
     eps must be positive for guaranteed convergence of the refined optima;
     eps = 0 is accepted with a warning.
     """
+    for name, value in (("tau_0", tau_0), ("gamma", gamma), ("epsilon", epsilon)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if tau_0 <= 0:
         raise ValueError(f"tau_0 must be positive, got {tau_0}")
     if gamma <= 0:
@@ -299,11 +295,7 @@ def refinement_schedule(
     return schedule
 
 
-def solve_refined(
-    spec: ProblemSpec,
-    schedule: list[tuple[float, float]],
-    threads: int = 1,
-) -> list[Trajectory]:
+def solve_refined(spec: ProblemSpec, schedule: list[tuple[float, float]]) -> list[Trajectory]:
     """One solve per schedule level, finest last.
 
     Every stage is a subset of the N-point ordinate lattice, so a level
@@ -311,4 +303,4 @@ def solve_refined(
     """
     if not schedule:
         raise ValueError("schedule must contain at least one (tau, delta) level")
-    return [solve(build_grid(spec, tau, delta), spec, threads=threads) for tau, delta in schedule]
+    return [solve(build_grid(spec, tau, delta), spec) for tau, delta in schedule]

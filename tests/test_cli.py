@@ -315,6 +315,12 @@ RITZ = {"method": "ritz", "K": 2, "budget": 10}
             ["bench", "--levels", "0"], {}, "--levels must be >= 1, got 0", id="bench-levels-0"
         ),
         pytest.param(
+            ["verify", "--cap", "0"], {}, "--cap must be >= 1, got 0", id="verify-cap-0"
+        ),
+        pytest.param(
+            ["verify", "--cap", "-3"], {}, "--cap must be >= 1, got -3", id="verify-cap-negative"
+        ),
+        pytest.param(
             ["solve"],
             {"fields": NEGATIVE_ALPHA},
             "rate field 'alpha' is negative",
@@ -614,12 +620,11 @@ def test_epsilon_zero_warning_lands_in_report_and_stderr(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"warning: {report['warnings'][0]}"]
 
 
-@pytest.mark.parametrize("command", ["solve", "verify", "bench"])
+@pytest.mark.parametrize("command", ["solve"])
 def test_threads_below_one_is_config_error(tmp_path, capsys, command):
     config = write_config(tmp_path)
     out = tmp_path / "run"
-    extra = ["--out", str(out)] if command == "solve" else []
-    assert main([command, "--config", str(config), "--threads", "0", *extra]) == 1
+    assert main([command, "--config", str(config), "--threads", "0", "--out", str(out)]) == 1
     assert capsys.readouterr().err.strip() == "config error: --threads must be >= 1, got 0"
     assert not out.exists()
 
@@ -758,6 +763,31 @@ def test_schedule_prints_table(capsys):
 
 def test_schedule_rejects_bad_gamma(capsys):
     assert main(["schedule", "--tau0", "0.25", "--gamma", "-1"]) == 1
+    assert capsys.readouterr().err.strip() == "config error: --gamma must be positive, got -1.0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--tau0", "-1"], "--tau0 must be positive, got -1.0"),
+        (["--tau0", "0.25", "--epsilon", "-0.5"], "--epsilon must be non-negative, got -0.5"),
+        (["--tau0", "nan"], "--tau0 must be finite, got nan"),
+        (["--tau0", "inf"], "--tau0 must be finite, got inf"),
+        (["--tau0", "0.1", "--gamma", "nan"], "--gamma must be finite, got nan"),
+        (["--tau0", "0.1", "--gamma", "inf"], "--gamma must be finite, got inf"),
+        (["--tau0", "0.1", "--epsilon", "nan"], "--epsilon must be finite, got nan"),
+        (["--tau0", "0.1", "--epsilon", "inf"], "--epsilon must be finite, got inf"),
+    ],
+    ids=[
+        "tau0-negative", "epsilon-negative", "tau0-nan", "tau0-inf",
+        "gamma-nan", "gamma-inf", "epsilon-nan", "epsilon-inf",
+    ],
+)
+def test_schedule_bad_values_are_config_errors_naming_the_flag(capsys, argv, message):
+    assert main(["schedule", *argv]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.strip() == f"config error: {message}"
 
 
 def test_schedule_epsilon_zero_caveat_is_one_warning_line(capsys, recwarn):

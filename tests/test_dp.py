@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -224,16 +225,15 @@ def make_holed_ridge2d_spec() -> ProblemSpec:
     [make_ridge2d_spec, make_relief3d_spec, make_holed_ridge2d_spec],
     ids=["ridge2d", "relief3d", "holed-ridge2d"],
 )
-@pytest.mark.parametrize("threads", [1, 4], ids=["threads1", "threads4"])
 @pytest.mark.parametrize("block_arcs", [1, 7, None], ids=["block1", "block7", "default"])
-def test_threaded_solve_is_bit_identical(monkeypatch, make_spec, threads, block_arcs):
+def test_block_split_is_bit_identical(monkeypatch, make_spec, block_arcs):
     # 65x65 pairs per stage fit in one default block, so blocks of 1 and 7
     # arcs are needed to cross block boundaries (7 also splits the first
     # stage's 65 to-nodes unevenly).  With the obstacle, blocks gather
     # from the stage lattice across the holes of their stages.
     spec = make_spec()
     grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
-    reference = solve(grid, spec, threads=1)
+    reference = solve(grid, spec)
     if block_arcs is not None:
         monkeypatch.setattr(dp, "_BLOCK_ARCS", block_arcs)
     gapped = []
@@ -245,7 +245,7 @@ def test_threaded_solve_is_bit_identical(monkeypatch, make_spec, threads, block_
         return gather(lattice, y_from, y_to)
 
     monkeypatch.setattr(cost._Lattice, "gather", recorded)
-    run = solve(grid, spec, threads=threads)
+    run = solve(grid, spec)
     assert run.cost == reference.cost
     assert np.array_equal(run.ys, reference.ys)
     assert (
@@ -407,9 +407,9 @@ def record_sweeps(monkeypatch):
         calls.append(args)
         return batch(*args, **kwargs)
 
-    def recorded_solve(grid, spec, threads=1):
+    def recorded_solve(grid, spec):
         grids.append(grid)
-        return solve_grid(grid, spec, threads)
+        return solve_grid(grid, spec)
 
     monkeypatch.setattr(dp, "segment_cost_batch", recorded_batch)
     monkeypatch.setattr(dp, "solve", recorded_solve)
@@ -487,7 +487,18 @@ def test_schedule_zero_epsilon_warns():
 
 @pytest.mark.parametrize(
     "tau0,gamma,epsilon,k_max",
-    [(-0.25, 1.0, 0.5, 1), (0.25, 0.0, 0.5, 1), (0.25, 1.0, -0.1, 1), (0.25, 1.0, 0.5, -1)],
+    [
+        (-0.25, 1.0, 0.5, 1),
+        (0.25, 0.0, 0.5, 1),
+        (0.25, 1.0, -0.1, 1),
+        (0.25, 1.0, 0.5, -1),
+        (math.nan, 1.0, 0.5, 1),
+        (math.inf, 1.0, 0.5, 1),
+        (0.25, math.nan, 0.5, 1),
+        (0.25, math.inf, 0.5, 1),
+        (0.25, 1.0, math.nan, 1),
+        (0.25, 1.0, math.inf, 1),
+    ],
 )
 def test_schedule_rejects_bad_inputs(tau0, gamma, epsilon, k_max):
     with pytest.raises(ValueError):
