@@ -201,6 +201,11 @@ def load_config(path: str | Path) -> RunConfig:
         if not (isinstance(corridor_raw, list) and len(corridor_raw) == 2):
             raise ConfigError("problem.corridor must be [y_lo, y_hi]")
         corridor = tuple(_number(v, "problem.corridor") for v in corridor_raw)
+    try:
+        # Ahead of the solver options, whose bounds (tau <= l) rest on it.
+        dp.ProblemSpec.check_geometry(l, y_l, corridor)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     problem = ProblemConfig(l=l, y_l=y_l, corridor=corridor, mode=mode)
 
     solver = SolverConfig()
@@ -571,11 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _reuse_freed_heap() -> None:
-    # A sweep allocates and frees ~1 MB block arrays thousands of times.  At
-    # glibc's default thresholds every block returns the heap top to the
-    # kernel and faults it back in (1.4 M faults, 2-3 s of system time at
-    # tau 1/48); raising M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3)
-    # keeps those pages for reuse, at the cost of holding freed heap.
+    # A sweep allocates and frees block arrays (the samples and tableaux of
+    # its directly priced arcs, each block's row-kernel state) thousands of
+    # times.  At glibc's default thresholds freed heap tops go back to the
+    # kernel and fault back in: a fresh-process tau-1/48 ridge2d dp.solve
+    # takes about 9.9 k minor faults, and 1.5 k with M_TRIM_THRESHOLD (-1)
+    # and M_MMAP_THRESHOLD (-3) raised, which keeps those pages for reuse at
+    # the cost of holding freed heap.
     import ctypes
 
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

@@ -31,6 +31,8 @@ Every batch of samples is laid out with the sample axis first: shape
 kernel is then one numpy operation over whole rows of pieces rather than a
 (q + 1)-long loop per piece, and its sums over samples run strictly in
 index order, so a piece gets the same bits in a batch of any shape.
+:func:`_integrate_rows` takes the same steps in the same order with the
+rows fed one at a time, for the wide blocks of a stage lattice below.
 
 The kernel reads field values, not fields.  This module is the only one
 that samples fields, and :func:`sample_transitions` holds the one rule for
@@ -44,9 +46,10 @@ where a stage transition's samples come from.  There are three sources:
   k to ordinate s lies at entry (j, k*(q - j) + s*j) of the (q + 1, m)
   lattice (x_start + j*tau/q, y_lo + r*delta/q), one row per sample
   abscissa.  That entry is affine in (k, s), so a block of arcs reads its
-  sample j as a strided view of lattice row j, with strides q - j and j,
-  and copies it once per row (picking the block's ordinates where a mask
-  leaves gaps).  Only exact lattice ordinates gather; an off-lattice start or
+  sample j as a strided view of lattice row j, with strides q - j and j
+  (picking the block's ordinates where a mask leaves gaps), and integrates
+  it in place row after row, keeping only a few arrays of the block's
+  shape.  Only exact lattice ordinates gather; an off-lattice start or
   terminal ordinate is priced directly.  The lattice's ordinates round
   differently from the arcs' own, so gathered values agree with direct
   ones to rounding only;
@@ -56,9 +59,9 @@ where a stage transition's samples come from.  There are three sources:
 
 A negative rate is refused at the samples some piece reads, whichever the
 source, and named at the piece's own sample point: (x_start + j*tau/q,
-y_from + (y_to - y_from)*j/q) for sample j of an arc.  A lattice whose alpha and beta samples are
-all non-negative cannot hand an arc a negative rate, so its arcs skip the
-check.
+y_from + (y_to - y_from)*j/q) for sample j of an arc.  A lattice whose
+alpha and beta samples are all non-negative cannot hand an arc a negative
+rate, so its arcs skip the check.
 
 Quadrature is a composite trapezoid rule with ``q`` subintervals per
 piece; the inner prefix integral uses trapezoid prefix sums over the same
@@ -137,7 +140,9 @@ class SegmentTableau(NamedTuple):
 
 # Rows at least this wide are summed by in-place row adds, narrower ones by
 # one accumulate (cumsum), which costs less per call but runs a strided loop
-# per column.
+# per column.  ritz's (15|16, 511) sums stay on accumulate: row adds timed
+# faster on those shapes alone, but a ritz-relief3d solve ran slower with
+# them in 5 of 5 pairs (numpy 2.4, x86-64).
 _WIDE_ROW = 512
 
 
@@ -152,10 +157,15 @@ def _running_sum(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _trapezoid(first, interior, last, h):
+    # The composite trapezoid end rule, from a piece's end samples and the
+    # sum of its interior ones.
+    return h * (0.5 * (first + last) + interior)
+
+
 def _trapz(g: np.ndarray, h) -> np.ndarray:
     # Composite trapezoid along axis 0, overwriting g; h broadcasts against a row.
-    interior = _running_sum(g[1:-1])[-1]
-    return h * (0.5 * (g[0] + g[-1]) + interior)
+    return _trapezoid(g[0], _running_sum(g[1:-1])[-1], g[-1], h)
 
 
 class _Samples(NamedTuple):
@@ -176,35 +186,40 @@ def _sample(model: CostModel, xs, ys) -> _Samples:
     return _Samples(*rates, *partials)
 
 
-def _check_rates(samples: _Samples, shape, points) -> None:
-    # Refuse a negative rate at any sample of a batch of the given shape;
+def _refuse_negative(name: str, values, shape, points, row=()) -> None:
+    # Refuse a negative rate ``name`` at any of the samples ``values`` of a
+    # batch of the given shape: all of it, or the sample row (j,) of it.
     # points() gives the batch's sample (xs, ys), broadcasting to it, and is
     # called only to name the first negative sample.
-    for name, values in (("alpha", samples.alpha), ("beta", samples.beta)):
-        if (values < 0).any():
-            values = np.broadcast_to(values, shape)
-            k = np.unravel_index(np.argmax(values < 0), shape)
-            x, y = (np.broadcast_to(p, shape)[k] for p in points())
-            raise NegativeRateError(
-                f"rate field '{name}' is negative ({float(values[k])!r}) "
-                f"at (x, y) = ({float(x)!r}, {float(y)!r})"
-            )
+    if (values < 0).any():
+        values = np.broadcast_to(values, shape[len(row):])
+        k = row + np.unravel_index(np.argmax(values < 0), values.shape)
+        x, y = (np.broadcast_to(p, shape)[k] for p in points())
+        raise NegativeRateError(
+            f"rate field '{name}' is negative ({float(values[k[len(row):]])!r}) "
+            f"at (x, y) = ({float(x)!r}, {float(y)!r})"
+        )
 
 
-def _integrate(samples: _Samples, yp, h, shape, overwrite=False) -> SegmentTableau:
+def _check_rates(samples: _Samples, shape, points) -> None:
+    # Refuse a negative rate at any sample of a batch, alpha before beta.
+    for name in ("alpha", "beta"):
+        _refuse_negative(name, getattr(samples, name), shape, points)
+
+
+def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
     """The quadrature kernel: integrate one batch of pieces from its samples.
 
     The batch has the sample ``shape`` (q + 1, ...): row j holds sample j of
     every piece, so each step is one operation over whole rows.  The field
     ``samples``, the path slope ``yp`` at them and the sample spacing ``h``
     of each piece broadcast against it.  Sums over samples run in index
-    order.  With ``overwrite`` the field samples are the batch's own
-    full-shape arrays and are used as work space.
+    order.
     """
     if samples.phi_x is None:
         phi_arc = np.sqrt(1.0 + yp * yp)
     else:
-        zp = np.multiply(samples.phi_y, yp, out=samples.phi_y if overwrite else np.empty(shape))
+        zp = np.multiply(samples.phi_y, yp, out=np.empty(shape))
         zp += samples.phi_x
         zp *= zp
         zp += 1.0 + yp * yp
@@ -223,11 +238,63 @@ def _integrate(samples: _Samples, yp, h, shape, overwrite=False) -> SegmentTable
     _running_sum(prefix[1:])
     delta_len = prefix[-1].copy()
 
-    delivery = np.multiply(samples.alpha, phi_arc, out=samples.alpha if overwrite else None)
-    build = np.multiply(samples.beta, phi_arc, out=samples.beta if overwrite else None)
+    delivery = samples.alpha * phi_arc
+    build = samples.beta * phi_arc
     prefix *= delivery
     slope = _trapz(delivery, h)
     return SegmentTableau(_trapz(prefix, h) + _trapz(build, h), slope, delta_len)
+
+
+def _integrate_rows(rows, q: int, yp, h) -> SegmentTableau:
+    """:func:`_integrate` for a batch whose q + 1 sample rows come one at a time.
+
+    ``rows`` yields the batch's rows in order, each a _Samples of arrays of
+    the pieces' shape, which ``yp`` has too.  The steps are _integrate's, in
+    its order, so every piece gets the same bits, but the batch keeps only a
+    few arrays of that shape: the prefix length, the interior sums of
+    delivery, prefix * delivery and build, and row 0's terms.  A wide batch
+    is bound by memory and gains by this; a narrow one is bound by per-call
+    overhead and goes whole to _integrate.
+    """
+    half = 0.5 * h
+    run = 1.0 + yp * yp
+    phi = spare = inc = work = None
+    for j, row in enumerate(rows):
+        if row.phi_x is None:
+            if j == 0:
+                phi = np.sqrt(run)
+                inc = (phi + phi) * half
+        else:
+            phi, spare = np.multiply(row.phi_y, yp, out=spare), phi
+            phi += row.phi_x
+            phi *= phi
+            phi += run
+            np.sqrt(phi, out=phi)
+            if j:
+                inc = np.add(spare, phi, out=inc)
+                inc *= half
+        if j == 1:
+            length = inc.copy()
+        elif j:
+            length += inc
+        out = work or (None, None, None)
+        delivery = np.multiply(row.alpha, phi, out=out[0])
+        terms = (
+            delivery,
+            np.multiply(length if j else 0.0, delivery, out=out[1]),
+            np.multiply(row.beta, phi, out=out[2]),
+        )
+        if j == 0:
+            first = terms
+        elif j == 1:
+            sums = terms
+            work = tuple(np.empty_like(t) for t in terms)
+        elif j < q:
+            for total, term in zip(sums, terms):
+                total += term
+    # terms are row q's.
+    ends = [_trapezoid(*args, h) for args in zip(first, sums, terms)]
+    return SegmentTableau(ends[1] + ends[2], ends[0], length)
 
 
 def _linear_points(q: int, x_start, tau, y_from, y_to):
@@ -251,13 +318,13 @@ class _Lattice(NamedTuple):
     fields: np.ndarray
     negative: bool
 
-    def gather(self, y_from, y_to) -> _Samples:
+    def rows(self, y_from, y_to):
         # The samples of the arcs from the column y_from to the row y_to of
-        # sorted lattice ordinates.  Sample j of the arc from ordinate
-        # k_lo + k to k_lo + s is entry (j, k*(q - j) + s*j), affine in
-        # (k, s): a view of lattice row j with strides q - j and j, copied
-        # once per row, and picked at the block's ordinates on an axis
-        # where a mask leaves gaps.
+        # sorted lattice ordinates, one _Samples per sample row j in order.
+        # Sample j of the arc from ordinate k_lo + k to k_lo + s is entry
+        # (j, k*(q - j) + s*j), affine in (k, s): a view of lattice row j
+        # with strides q - j and j, picked at the block's ordinates on an
+        # axis where a mask leaves gaps.
         nf, rows, m = self.fields.shape
         q = rows - 1
         kf, kt = (
@@ -266,38 +333,44 @@ class _Lattice(NamedTuple):
         )
         f0, t0 = kf.min(), kt.min()
         span = (nf, kf.max() - f0 + 1, kt.max() - t0 + 1)
-        pf = slice(None) if span[1] == kf.size else kf - f0
-        pt = slice(None) if span[2] == kt.size else kt - t0
+        pf = None if span[1] == kf.size else kf - f0
+        pt = None if span[2] == kt.size else kt - t0
         step, item = self.fields.strides[0], self.fields.itemsize
-        out = np.empty((nf, rows, kf.size, kt.size))
         for j in range(rows):
             offset = (j * m + f0 * (q - j) + t0 * j) * item
             strides = (step, (q - j) * item, j * item)
             view = np.ndarray(span, self.fields.dtype, self.fields, offset, strides)
-            out[:, j] = view[:, pf][:, :, pt]
-        return _Samples(*out)
+            if pf is not None:
+                view = view[:, pf]
+            if pt is not None:
+                view = view[:, :, pt]
+            yield _Samples(*view)
 
 
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
     # Price the straight arcs (x_start, y_from) -> (x_start + tau, y_to),
     # whose arguments broadcast as in _linear_points, from field samples:
-    # taken at the arcs' own points when None, gathered from a _Lattice, or
-    # as given.  Rates are checked unless the lattice holds no negative one.
+    # taken at the arcs' own points when None, streamed row by row from a
+    # _Lattice, or as given.  Rates are checked unless the lattice holds no
+    # negative one; a lattice checks alpha on every row before beta, as a
+    # whole batch does.
     q = model.quadrature_subdivisions
 
     def points():
         return _linear_points(q, x_start, tau, y_from, y_to)
 
     shape = (q + 1,) + np.broadcast(y_from, y_to).shape
-    lattice = samples if isinstance(samples, _Lattice) else None
-    if lattice is not None:
-        samples = lattice.gather(y_from, y_to)
-    elif samples is None:
-        samples = _sample(model, *points())
-    if lattice is None or lattice.negative:
-        _check_rates(samples, shape, points)
     yp = (y_to - y_from) / tau
-    return _integrate(samples, yp, tau / q, shape, overwrite=lattice is not None)
+    if not isinstance(samples, _Lattice):
+        if samples is None:
+            samples = _sample(model, *points())
+        _check_rates(samples, shape, points)
+        return _integrate(samples, yp, tau / q, shape)
+    if samples.negative:
+        for name in ("alpha", "beta"):
+            for j, row in enumerate(samples.rows(y_from, y_to)):
+                _refuse_negative(name, getattr(row, name), shape, points, (j,))
+    return _integrate_rows(samples.rows(y_from, y_to), q, yp, tau / q)
 
 
 def _arc_axes(y_from, y_to):

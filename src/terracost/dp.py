@@ -97,23 +97,29 @@ class ProblemSpec:
     mask: ScalarField2D | None = None
 
     def __post_init__(self):
-        if self.l <= 0:
-            raise ValueError(f"span length must be positive, got {self.l}")
-        y_lo, y_hi = self.corridor
-        if y_lo >= y_hi:
-            raise ValueError(f"corridor must be a proper interval, got {self.corridor}")
-        if not (y_lo <= 0.0 <= y_hi):
-            raise ValueError("corridor must contain the start ordinate 0")
-        if not (y_lo <= self.y_l <= y_hi):
-            raise ValueError(
-                f"terminal ordinate {self.y_l} outside corridor {self.corridor}"
-            )
+        self.check_geometry(self.l, self.y_l, self.corridor)
         if not feasible(self.mask, 0.0, 0.0):
             raise ValueError("start point (0, 0) is infeasible under the mask")
         if not feasible(self.mask, self.l, self.y_l):
             raise ValueError(
                 f"terminal point ({self.l}, {self.y_l}) is infeasible under the mask"
             )
+
+    @staticmethod
+    def check_geometry(l: float, y_l: float, corridor: tuple[float, float]) -> None:
+        """Raise ValueError unless span, terminal ordinate and corridor fit.
+
+        Needs no field, so a caller can check a problem before it builds one.
+        """
+        if l <= 0:
+            raise ValueError(f"span length must be positive, got {l}")
+        y_lo, y_hi = corridor
+        if y_lo >= y_hi:
+            raise ValueError(f"corridor must be a proper interval, got {corridor}")
+        if not (y_lo <= 0.0 <= y_hi):
+            raise ValueError("corridor must contain the start ordinate 0")
+        if not (y_lo <= y_l <= y_hi):
+            raise ValueError(f"terminal ordinate {y_l} outside corridor {corridor}")
 
 
 @dataclass(frozen=True)

@@ -437,6 +437,43 @@ RITZ = {"method": "ritz", "K": 2, "budget": 10}
             "epsilon must be non-negative, got -0.5",
             id="epsilon-negative",
         ),
+        # A bad problem is named as such, not as a grid step out of range.
+        pytest.param(
+            ["solve"],
+            {"problem": {"l": -1, "y_l": 1.0, "corridor": [0.0, 1.0]}},
+            "span length must be positive, got -1.0",
+            id="l-negative-dp",
+        ),
+        pytest.param(
+            ["solve"],
+            {
+                "problem": {"l": -1, "y_l": 1.0, "corridor": [0.0, 1.0]},
+                "solver": {"method": "local", "tau": 0.125},
+            },
+            "span length must be positive, got -1.0",
+            id="l-negative-local",
+        ),
+        pytest.param(
+            ["solve"],
+            {"problem": {"l": 1.0, "y_l": 1.0, "corridor": [1, 0]}},
+            "corridor must be a proper interval, got (1.0, 0.0)",
+            id="corridor-reversed-dp",
+        ),
+        pytest.param(
+            ["solve"],
+            {
+                "problem": {"l": 1.0, "y_l": 0.5, "corridor": [0.5, 0.5]},
+                "solver": {"method": "local", "tau": 0.125},
+            },
+            "corridor must be a proper interval, got (0.5, 0.5)",
+            id="corridor-empty-local",
+        ),
+        pytest.param(
+            ["solve"],
+            {"problem": {"l": 1.0, "y_l": 1.0, "corridor": [1, 0]}, "solver": RITZ},
+            "corridor must be a proper interval, got (1.0, 0.0)",
+            id="corridor-reversed-ritz",
+        ),
         pytest.param(
             ["solve"],
             {"solver": {"method": "dp", "tau": 0.25, "gamma": 10}},

@@ -383,19 +383,15 @@ def reference_gather(lattice, y_from, y_to):
     return [field.take(flat) for field in lattice.fields]
 
 
-@pytest.mark.parametrize(
-    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
-)
-def test_gather_reads_each_arcs_lattice_entries(make_spec):
-    # Sample j of the arc from ordinate k_lo + k to k_lo + s is lattice
-    # entry (j, k*(q - j) + s*j), bit for bit, whether a block's ordinates
-    # are consecutive, leave a hole, are a single ordinate or start above
-    # the lattice's lowest ordinate.
-    model = make_spec().model
-    delta, tau, x0 = 1 / 64, 1 / 16, 0.3125
-    stage = delta * np.arange(3, 68)
+def lattice_cases():
+    """Stage pairs on the lattice k/64, k >= 3, with blocks of to-nodes.
+
+    Block ordinates are consecutive, leave a hole, are a single ordinate
+    or start above the lattice's lowest ordinate.
+    """
+    stage = np.arange(3, 68) / 64
     holed = np.delete(stage, np.s_[20:31])
-    cases = [
+    return [
         # dense stages, and blocks that start above the lowest ordinate
         (stage, stage, [(stage, stage), (stage, stage[7:19]), (stage[2:50], stage[40:41])]),
         # stages with a hole
@@ -404,17 +400,52 @@ def test_gather_reads_each_arcs_lattice_entries(make_spec):
         (stage, stage[30:31], [(stage, stage[30:31]), (stage[9:], stage[30:31])]),
         (stage[30:31], stage, [(stage[30:31], stage), (stage[30:31], stage[5:9])]),
     ]
-    for y_from, y_to, blocks in cases:
+
+
+@pytest.mark.parametrize(
+    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
+)
+def test_gather_reads_each_arcs_lattice_entries(make_spec):
+    # Sample j of the arc from ordinate k_lo + k to k_lo + s is lattice
+    # entry (j, k*(q - j) + s*j), bit for bit, in every streamed row.
+    model = make_spec().model
+    delta, tau, x0 = 1 / 64, 1 / 16, 0.3125
+    for y_from, y_to, blocks in lattice_cases():
         lattice = cost._sample_lattice(model, 0.0, delta, x0, tau, y_from, y_to)
         assert lattice.k_lo == 3
         assert lattice.fields.shape[0] == (2 if model.mode is CostMode.FLAT_2D else 4)
         for block_from, block_to in blocks:
-            gathered = lattice.gather(*cost._arc_axes(block_from, block_to))
-            fields = [v for v in gathered if v is not None]
+            rows = list(lattice.rows(*cost._arc_axes(block_from, block_to)))
             reference = reference_gather(lattice, block_from, block_to)
-            assert len(fields) == len(reference)
-            for got, want in zip(fields, reference):
-                assert got.shape == (17, block_from.size, block_to.size)
+            assert len(rows) == 17
+            for j, row in enumerate(rows):
+                fields = [v for v in row if v is not None]
+                assert len(fields) == len(reference)
+                for got, want in zip(fields, reference):
+                    assert got.shape == (block_from.size, block_to.size)
+                    assert np.array_equal(got, want[j])
+
+
+@pytest.mark.parametrize("q", [2, 4, 16])
+@pytest.mark.parametrize(
+    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
+)
+def test_row_kernel_has_the_bits_of_the_whole_batch_kernel(make_spec, q):
+    # Fed the same gathered samples, one row at a time or as one
+    # (q + 1, F, T) batch, the kernel gives every arc the same bits.
+    model = make_spec(q).model
+    delta, tau, x0 = 1 / 64, 1 / 16, 0.3125
+    for y_from, y_to, blocks in lattice_cases():
+        lattice = cost._sample_lattice(model, 0.0, delta, x0, tau, y_from, y_to)
+        for block_from, block_to in blocks:
+            y_f, y_t = cost._arc_axes(block_from, block_to)
+            shape = (q + 1, block_from.size, block_to.size)
+            gathered = cost._Samples(*reference_gather(lattice, block_from, block_to))
+            yp = (y_t - y_f) / tau
+            whole = cost._integrate(gathered, yp, tau / q, shape)
+            rows = cost._integrate_rows(lattice.rows(y_f, y_t), q, yp, tau / q)
+            for got, want in zip(rows, whole):
+                assert got.shape == want.shape == shape[1:]
                 assert np.array_equal(got, want)
 
 

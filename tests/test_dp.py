@@ -237,14 +237,14 @@ def test_block_split_is_bit_identical(monkeypatch, make_spec, block_arcs):
     if block_arcs is not None:
         monkeypatch.setattr(dp, "_BLOCK_ARCS", block_arcs)
     gapped = []
-    gather = cost._Lattice.gather
+    rows = cost._Lattice.rows
 
     def recorded(lattice, y_from, y_to):
         steps = (np.diff(np.ravel(y)) for y in (y_from, y_to))
         gapped.append(any(np.any(step > 1.5 * lattice.delta) for step in steps))
-        return gather(lattice, y_from, y_to)
+        return rows(lattice, y_from, y_to)
 
-    monkeypatch.setattr(cost._Lattice, "gather", recorded)
+    monkeypatch.setattr(cost._Lattice, "rows", recorded)
     run = solve(grid, spec)
     assert run.cost == reference.cost
     assert np.array_equal(run.ys, reference.ys)
