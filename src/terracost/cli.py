@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 import warnings
@@ -225,14 +226,11 @@ def load_config(path: str | Path) -> RunConfig:
         setattr(solver, name, value)
     caveats = []
     if solver.method in ("dp", "local") and solver.tau is not None:
-        if not 0 < solver.tau <= l:
-            raise ConfigError(f"solver.tau must be in (0, l = {l}], got {solver.tau}")
-        ((_, delta),), caveats = _schedule(solver, 0)
-        if not 0 < delta <= corridor[1] - corridor[0]:
-            raise ConfigError(
-                f"grid step delta = {delta} must be in "
-                f"(0, corridor height {corridor[1] - corridor[0]}]"
-            )
+        try:
+            ((tau, delta),), caveats = _schedule(solver, 0)
+            dp.ProblemSpec.check_steps(l, corridor, tau, delta)
+        except (ConfigError, ValueError) as exc:  # name the key the user typed
+            raise ConfigError(re.sub(r"^tau(_0)? ", "solver.tau ", str(exc))) from exc
 
     output = OutputConfig()
     for key, value in _object(raw.get("output", {}), "output").items():
@@ -407,7 +405,6 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec):
             traj = dp.solve(grid, spec)
         else:  # local
             traj = localsearch.run(spec, grid, m=s.m, max_iter=s.max_iter)
-            report["iterations"] = traj.diagnostics.iterations
             if traj.diagnostics.hit_max_iter:
                 report["hit_max_iter"] = True
     report.update(
@@ -416,6 +413,10 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec):
             "grid": grid_info,
             "segment_cost_evaluations": traj.diagnostics.segment_cost_evaluations,
             "wall_time_s": traj.diagnostics.wall_time,
+            # local alone iterates; dp reports None for these.
+            "iterations": traj.diagnostics.iterations,
+            "cost_per_iteration": traj.diagnostics.cost_per_iteration,
+            "evaluations_per_iteration": traj.diagnostics.evaluations_per_iteration,
         }
     )
     _, cum_len, cum_cost = path_cost_profile(spec.model, traj.xs, traj.ys)
@@ -432,13 +433,8 @@ def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, profile, repor
 
     csv_path = out_dir / config.output.trajectory_csv
     rows = ["x,y,z,cumulative_length,cumulative_cost"]
-    for i in range(traj.xs.size):
-        rows.append(
-            ",".join(
-                repr(float(v))
-                for v in (traj.xs[i], traj.ys[i], zs[i], cum_len[i], cum_cost[i])
-            )
-        )
+    for knot in zip(traj.xs, traj.ys, zs, cum_len, cum_cost):
+        rows.append(",".join(repr(float(v)) for v in knot))
     csv_path.write_text("\n".join(rows) + "\n")
 
     report_path = out_dir / config.output.report_json
@@ -447,10 +443,7 @@ def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, profile, repor
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     plot_path = out_dir / config.output.plot_data
-    lines = [
-        f"{float(traj.xs[i])!r} {float(traj.ys[i])!r} {float(zs[i])!r}"
-        for i in range(traj.xs.size)
-    ]
+    lines = [" ".join(repr(float(v)) for v in knot) for knot in zip(traj.xs, traj.ys, zs)]
     plot_path.write_text("\n".join(lines) + "\n")
     return csv_path, report_path, plot_path
 

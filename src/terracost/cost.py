@@ -29,10 +29,14 @@ length, and leaves the ``len_start`` threading to its three callers:
 Every batch of samples is laid out with the sample axis first: shape
 (q + 1, ...), where row j holds sample j of every piece.  Each step of the
 kernel is then one numpy operation over whole rows of pieces rather than a
-(q + 1)-long loop per piece, and its sums over samples run strictly in
-index order, so a piece gets the same bits in a batch of any shape.
-:func:`_integrate_rows` takes the same steps in the same order with the
-rows fed one at a time, for the wide blocks of a stage lattice below.
+(q + 1)-long loop per piece, and its sums over samples run in a fixed
+order, so a piece gets the same bits in a batch of any shape: index order,
+except that a straight flat 2-D piece, whose density sqrt(1 + y'^2) is the
+same at every sample and scales each sum once, sums its interior rates from
+j = q - 1 down to 1, so that its running alpha sums add up to the sum of
+j * alpha_j.  :func:`_integrate_rows` takes the same steps in the same
+order with the rows fed one at a time, for the wide blocks of a stage
+lattice below.
 
 The kernel reads field values, not fields.  This module is the only one
 that samples fields, and :func:`sample_transitions` holds the one rule for
@@ -207,15 +211,31 @@ def _check_rates(samples: _Samples, shape, points) -> None:
         _refuse_negative(name, getattr(samples, name), shape, points)
 
 
+def _straight_tableau(first, interior, last, spread, q: int, h, yp) -> SegmentTableau:
+    # The tableau of straight flat pieces of slope yp from (alpha, beta) at
+    # samples 0 and q, their interior sums and the interior sum of j * alpha_j.
+    step = h * np.sqrt(1.0 + yp * yp)
+    slope, build = _trapezoid(first, interior, last, step)
+    delivery = step * step * (0.5 * q * last[0] + spread)
+    return SegmentTableau(delivery + build, slope, q * step)
+
+
 def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
     """The quadrature kernel: integrate one batch of pieces from its samples.
 
     The batch has the sample ``shape`` (q + 1, ...): row j holds sample j of
     every piece, so each step is one operation over whole rows.  The field
     ``samples``, the path slope ``yp`` at them and the sample spacing ``h``
-    of each piece broadcast against it.  Sums over samples run in index
-    order.
+    of each piece broadcast against it.  A flat ``yp`` without a sample axis
+    marks straight pieces; sums over samples run as the module docstring says.
     """
+    if samples.phi_x is None and np.ndim(yp) < len(shape):
+        # Rows q, q - 1, ..., 0 of (alpha, beta), stacked.
+        rates = np.stack([np.broadcast_to(v, shape) for v in samples[:2]], axis=1)[::-1]
+        sums = _running_sum(rates[1:-1])
+        spread = _running_sum(sums[:, 0].copy())[-1]
+        return _straight_tableau(rates[-1], sums[-1], rates[0], spread, shape[0] - 1, h, yp)
+
     if samples.phi_x is None:
         phi_arc = np.sqrt(1.0 + yp * yp)
     else:
@@ -225,16 +245,11 @@ def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
         zp += 1.0 + yp * yp
         phi_arc = np.sqrt(zp, out=zp)
 
-    # Within-piece arc-length prefix (trapezoid prefix sums); a density
-    # without a sample axis has the same increment on every row.
+    # Within-piece arc-length prefix (trapezoid prefix sums).
     prefix = np.empty(shape)
     prefix[0] = 0.0
-    if phi_arc.ndim < len(shape):
-        prefix[1:] = (phi_arc + phi_arc) * (0.5 * h)
-        phi_arc = np.broadcast_to(phi_arc, shape)
-    else:
-        np.add(phi_arc[:-1], phi_arc[1:], out=prefix[1:])
-        prefix[1:] *= 0.5 * h
+    np.add(phi_arc[:-1], phi_arc[1:], out=prefix[1:])
+    prefix[1:] *= 0.5 * h
     _running_sum(prefix[1:])
     delta_len = prefix[-1].copy()
 
@@ -246,43 +261,47 @@ def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
 
 
 def _integrate_rows(rows, q: int, yp, h) -> SegmentTableau:
-    """:func:`_integrate` for a batch whose q + 1 sample rows come one at a time.
+    """:func:`_integrate` for straight pieces whose q + 1 sample rows come one at a time.
 
-    ``rows`` yields the batch's rows in order, each a _Samples of arrays of
-    the pieces' shape, which ``yp`` has too.  The steps are _integrate's, in
-    its order, so every piece gets the same bits, but the batch keeps only a
-    few arrays of that shape: the prefix length, the interior sums of
-    delivery, prefix * delivery and build, and row 0's terms.  A wide batch
-    is bound by memory and gains by this; a narrow one is bound by per-call
-    overhead and goes whole to _integrate.
+    ``rows`` yields the batch's rows in order, each the stacked fields of
+    one sample of every piece, with the pieces' shape, which ``yp`` has too.
+    The steps are _integrate's, in its order, so every piece gets the same
+    bits, but the batch keeps only a few arrays of that shape: the (alpha,
+    beta) sums and the alpha spread in flat 2-D (two adds per row), and in
+    full 3-D the prefix length, the interior sums of delivery, prefix *
+    delivery and build, and row 0's terms.
     """
+    rows = list(rows)
+    if len(rows[0]) == 2:  # flat 2-D: alpha and beta only
+        sums = rows[q - 1].copy()
+        spread = sums[0].copy()
+        for row in rows[q - 2 : 0 : -1]:
+            sums += row
+            spread += sums[0]
+        return _straight_tableau(rows[0], sums, rows[q], spread, q, h, yp)
+
     half = 0.5 * h
     run = 1.0 + yp * yp
     phi = spare = inc = work = None
-    for j, row in enumerate(rows):
-        if row.phi_x is None:
-            if j == 0:
-                phi = np.sqrt(run)
-                inc = (phi + phi) * half
-        else:
-            phi, spare = np.multiply(row.phi_y, yp, out=spare), phi
-            phi += row.phi_x
-            phi *= phi
-            phi += run
-            np.sqrt(phi, out=phi)
-            if j:
-                inc = np.add(spare, phi, out=inc)
-                inc *= half
+    for j, (alpha, beta, phi_x, phi_y) in enumerate(rows):
+        phi, spare = np.multiply(phi_y, yp, out=spare), phi
+        phi += phi_x
+        phi *= phi
+        phi += run
+        np.sqrt(phi, out=phi)
+        if j:
+            inc = np.add(spare, phi, out=inc)
+            inc *= half
         if j == 1:
             length = inc.copy()
         elif j:
             length += inc
         out = work or (None, None, None)
-        delivery = np.multiply(row.alpha, phi, out=out[0])
+        delivery = np.multiply(alpha, phi, out=out[0])
         terms = (
             delivery,
             np.multiply(length if j else 0.0, delivery, out=out[1]),
-            np.multiply(row.beta, phi, out=out[2]),
+            np.multiply(beta, phi, out=out[2]),
         )
         if j == 0:
             first = terms
@@ -320,7 +339,7 @@ class _Lattice(NamedTuple):
 
     def rows(self, y_from, y_to):
         # The samples of the arcs from the column y_from to the row y_to of
-        # sorted lattice ordinates, one _Samples per sample row j in order.
+        # sorted lattice ordinates, one (fields, F, T) view per row j in order.
         # Sample j of the arc from ordinate k_lo + k to k_lo + s is entry
         # (j, k*(q - j) + s*j), affine in (k, s): a view of lattice row j
         # with strides q - j and j, picked at the block's ordinates on an
@@ -344,7 +363,7 @@ class _Lattice(NamedTuple):
                 view = view[:, pf]
             if pt is not None:
                 view = view[:, :, pt]
-            yield _Samples(*view)
+            yield view
 
 
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
@@ -367,9 +386,9 @@ def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
         _check_rates(samples, shape, points)
         return _integrate(samples, yp, tau / q, shape)
     if samples.negative:
-        for name in ("alpha", "beta"):
+        for i, name in enumerate(("alpha", "beta")):
             for j, row in enumerate(samples.rows(y_from, y_to)):
-                _refuse_negative(name, getattr(row, name), shape, points, (j,))
+                _refuse_negative(name, row[i], shape, points, (j,))
     return _integrate_rows(samples.rows(y_from, y_to), q, yp, tau / q)
 
 
@@ -382,16 +401,12 @@ def _arc_axes(y_from, y_to):
 def _sample_lattice(model: CostModel, y_lo, delta, x_start, tau, y_from, y_to):
     # The _Lattice of one transition, or None when an ordinate is not a
     # lattice ordinate y_lo + delta*k exactly, for k = rint((y - y_lo)/delta).
-    ks = []
-    for y in (y_from, y_to):
-        y = np.asarray(y, dtype=float)
-        k = np.rint((y - y_lo) / delta)
-        if not np.array_equal(y_lo + delta * k, y):
-            return None
-        ks.append(k)
+    y = np.append(y_from, y_to).astype(float)
+    k = np.rint((y - y_lo) / delta)
+    if not np.array_equal(y_lo + delta * k, y):
+        return None
     q = model.quadrature_subdivisions
-    k_lo = int(min(k.min() for k in ks))
-    k_hi = int(max(k.max() for k in ks))
+    k_lo, k_hi = int(k.min()), int(k.max())
     xs = x_start + tau * (np.arange(q + 1) / q)
     ys = y_lo + delta * (np.arange(k_lo * q, k_hi * q + 1) / q)
     shape = (q + 1, ys.size)
@@ -420,14 +435,12 @@ def _run_entries(model: CostModel, run) -> list:
         fields = _sample(model, xs, ys)
     except (ExprDomainError, FieldDomainError):
         return [None] * len(run)
-    out = []
-    start = 0
+    out, stop = [], 0
     for _, y in points:
-        stop = start + y.size
+        start, stop = stop, stop + y.size
         # A constant field may come back as a scalar; every transition shares it.
         values = (v if np.ndim(v) == 0 else v[start:stop].reshape(y.shape) for v in fields)
         out.append(_Samples(*values))
-        start = stop
     return out
 
 

@@ -121,6 +121,15 @@ class ProblemSpec:
         if not (y_lo <= y_l <= y_hi):
             raise ValueError(f"terminal ordinate {y_l} outside corridor {corridor}")
 
+    @staticmethod
+    def check_steps(l: float, corridor: tuple[float, float], tau: float, delta: float) -> None:
+        """Raise ValueError unless tau is in (0, l] and delta in (0, corridor height]."""
+        if not 0 < tau <= l:
+            raise ValueError(f"tau must be in (0, l = {l}], got {tau}")
+        height = corridor[1] - corridor[0]
+        if not 0 < delta <= height:
+            raise ValueError(f"grid step delta = {delta} must be in (0, corridor height {height}]")
+
 
 @dataclass(frozen=True)
 class StageGrid:
@@ -170,15 +179,11 @@ def build_grid(spec: ProblemSpec, tau: float, delta: float) -> StageGrid:
     Interior ordinates are y_lo + k*delta filtered by the feasibility mask;
     an interior stage left empty by the mask raises BlockedCorridorError.
     """
-    if not (0 < tau <= spec.l):
-        raise ValueError(f"tau must be in (0, l], got {tau}")
-    y_lo, y_hi = spec.corridor
-    if not (0 < delta <= y_hi - y_lo):
-        raise ValueError(f"delta must be in (0, corridor height], got {delta}")
+    spec.check_steps(spec.l, spec.corridor, tau, delta)
     n = max(1, round(spec.l / tau))
     xs = np.arange(n + 1) * (spec.l / n)
     xs[n] = spec.l  # guard the terminal node against rounding drift
-    lattice = y_lo + delta * np.arange(lattice_size(spec.corridor, delta))
+    lattice = spec.corridor[0] + delta * np.arange(lattice_size(spec.corridor, delta))
     stages: list[np.ndarray] = [np.array([0.0])]
     for i in range(1, n):
         keep = feasible(spec.mask, np.full(lattice.shape, xs[i]), lattice)
@@ -260,8 +265,7 @@ def solve(grid: StageGrid, spec: ProblemSpec) -> Trajectory:
     idx = [0]
     for best in reversed(preds):
         idx.append(int(best[idx[-1]]))
-    idx.reverse()
-    ys = np.array([grid.stages[i][idx[i]] for i in range(grid.n + 1)])
+    ys = np.array([stage[i] for stage, i in zip(grid.stages, reversed(idx))])
     diag = SolveDiagnostics(
         segment_cost_evaluations=evaluations, wall_time=time.perf_counter() - t0
     )
@@ -294,11 +298,8 @@ def refinement_schedule(
             RuntimeWarning,
             stacklevel=2,
         )
-    schedule = []
-    for k in range(k_max + 1):
-        tau_k = tau_0 / 2**k
-        schedule.append((tau_k, gamma * tau_k ** (1.0 + epsilon)))
-    return schedule
+    taus = [tau_0 / 2**k for k in range(k_max + 1)]
+    return [(tau, gamma * tau ** (1.0 + epsilon)) for tau in taus]
 
 
 def solve_refined(spec: ProblemSpec, schedule: list[tuple[float, float]]) -> list[Trajectory]:

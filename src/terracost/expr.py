@@ -301,25 +301,18 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected token {value!r}", pos)
         return node
 
+    def chain(self, symbols: str, operand) -> Node:
+        # operand (symbol operand)*, left-associative.
+        node = operand()
+        while self.peek()[0] == "sym" and self.peek()[1] in symbols:
+            node = Binary(self.advance()[1], node, operand())
+        return node
+
     def additive(self) -> Node:
-        node = self.multiplicative()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "sym" and value in "+-":
-                self.advance()
-                node = Binary(value, node, self.multiplicative())
-            else:
-                return node
+        return self.chain("+-", self.multiplicative)
 
     def multiplicative(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "sym" and value in "*/":
-                self.advance()
-                node = Binary(value, node, self.unary())
-            else:
-                return node
+        return self.chain("*/", self.unary)
 
     def unary(self) -> Node:
         kind, value, _ = self.peek()

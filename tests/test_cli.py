@@ -187,9 +187,31 @@ def test_local_report_differs_only_in_expected_fields(tmp_path):
     r_local = json.loads((out_local / "report.json").read_text())
     assert set(r_dp) == set(r_local)
     assert abs(r_dp["J"] - r_local["J"]) <= 1e-3 * r_dp["J"]
-    volatile = {"J", "method", "iterations", "wall_time_s", "segment_cost_evaluations"}
+    volatile = {
+        "J",
+        "method",
+        "iterations",
+        "cost_per_iteration",
+        "evaluations_per_iteration",
+        "wall_time_s",
+        "segment_cost_evaluations",
+    }
     for key in set(r_dp) - volatile:
         assert r_dp[key] == r_local[key], key
+
+
+def test_local_report_lists_cost_and_evaluations_per_iteration(tmp_path):
+    # One entry per truncated sweep, the last one the fixed point; a sweep
+    # never returns a costlier incumbent.
+    config = write_config(tmp_path, solver={"method": "local", "tau": 0.125, "epsilon": 0.25})
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    costs, evaluations = report["cost_per_iteration"], report["evaluations_per_iteration"]
+    assert report["iterations"] >= 2
+    assert len(costs) == len(evaluations) == report["iterations"]
+    assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
+    assert costs[-1] == report["J"]
+    assert all(isinstance(count, int) and count > 0 for count in evaluations)
 
 
 @pytest.mark.parametrize(
@@ -285,6 +307,12 @@ RITZ = {"method": "ritz", "K": 2, "budget": 10}
             {"solver": {"method": "dp", "tau": 2}},
             "solver.tau must be in (0, l = 1.0], got 2.0",
             id="tau-above-span",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "local", "tau": -0.5}},
+            "solver.tau must be positive, got -0.5",
+            id="tau-negative",
         ),
         pytest.param(
             ["solve"],

@@ -11,6 +11,7 @@ coefficients in conftest probe the two benchmark problems end to end.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -449,30 +450,83 @@ def test_row_kernel_has_the_bits_of_the_whole_batch_kernel(make_spec, q):
                 assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize(
-    "y_from, y_to",
-    [
+def exact_straight_tableau(samples, yp, h, shape):
+    """Each piece's (fixed, slope, delta_len) as Fractions, flattened.
+
+    The trapezoid sums of the piece's float samples, scaled by its float
+    step h * phi with phi = sqrt(1 + yp^2) as the kernel rounds it: the
+    prefix length at sample j is j * h * phi.
+    """
+    q = shape[0] - 1
+    alpha, beta = (np.broadcast_to(v, shape).reshape(q + 1, -1) for v in samples[:2])
+    phi = np.broadcast_to(np.sqrt(1.0 + yp * yp), shape[1:]).ravel()
+    h = np.broadcast_to(h, shape[1:]).ravel()
+    half = Fraction(1, 2)
+    entries = []
+    for p in range(alpha.shape[1]):
+        a, b = ([Fraction(float(v)) for v in rate[:, p]] for rate in (alpha, beta))
+        step = Fraction(float(h[p])) * Fraction(float(phi[p]))
+        slope = step * (half * (a[0] + a[q]) + sum(a[1:q]))
+        build = step * (half * (b[0] + b[q]) + sum(b[1:q]))
+        delivery = step * step * (half * q * a[q] + sum(j * a[j] for j in range(1, q)))
+        entries.append((delivery + build, slope, q * step))
+    return entries
+
+
+def straight_flat_cases():
+    """(samples, yp, h, shape) of straight flat pieces.
+
+    ridge2d's own samples of one arc, a row of arcs and a block of arcs;
+    then, for q = 2, 4 and 16, hand-built samples whose alpha is non-zero
+    at one interior sample only, a different one in each piece: the worst
+    case for the weighted sum of j * alpha_j.
+    """
+    model = make_ridge2d_spec().model
+    q, tau, x0 = model.quadrature_subdivisions, 0.0625, 0.25
+    cases = []
+    for y_from, y_to in (
         (0.3, 0.41),
         (np.array([0.0, 0.2, 0.5]), np.array([0.1, 0.3, 0.45])),
         cost._arc_axes(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)),
-    ],
-    ids=["single-arc", "one-row", "block"],
+    ):
+        shape = (q + 1,) + np.broadcast(y_from, y_to).shape
+        samples = cost._sample(model, *cost._linear_points(q, x0, tau, y_from, y_to))
+        cases.append((samples, np.subtract(y_to, y_from) / tau, tau / q, shape))
+    rng = np.random.default_rng(3)
+    for q in (2, 4, 16):
+        alpha = np.zeros((q + 1, q - 1))
+        alpha[np.arange(1, q), np.arange(q - 1)] = rng.uniform(0.1, 1.0, q - 1)
+        beta = rng.uniform(0.5, 1.5, (q + 1, q - 1))
+        yp = rng.uniform(-3.0, 3.0, q - 1)
+        cases.append((cost._Samples(alpha, beta), yp, tau / q, (q + 1, q - 1)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "samples, yp, h, shape",
+    straight_flat_cases(),
+    ids=["single-arc", "one-row", "block", "spike-q2", "spike-q4", "spike-q16"],
 )
-def test_constant_density_prefix_has_the_full_row_bits(y_from, y_to):
-    # A flat 2-D density has no sample axis: its prefix increments are
-    # computed once per piece and broadcast down the rows, with the bits of
-    # the full-row branch that a slope broadcast to the sample shape takes.
-    model = make_ridge2d_spec().model
-    q, tau, x0 = model.quadrature_subdivisions, 0.0625, 0.25
-    shape = (q + 1,) + np.broadcast(y_from, y_to).shape
-    samples = cost._sample(model, *cost._linear_points(q, x0, tau, y_from, y_to))
-    yp = np.subtract(y_to, y_from) / tau
-    assert np.ndim(yp) < len(shape)
-    once = cost._integrate(samples, yp, tau / q, shape)
-    rows = cost._integrate(samples, np.broadcast_to(yp, shape), tau / q, shape)
-    for got, want in zip(once, rows):
-        assert got.shape == want.shape == shape[1:]
-        assert np.array_equal(got, want)
+def test_flat_straight_tableau_matches_exact_trapezoid(samples, yp, h, shape):
+    # A straight flat piece's density is the same at every sample, so both
+    # kernels factor it out of the sums; the full-row branch, which a slope
+    # broadcast to the sample shape takes, multiplies it in on every row.
+    # All three round the same trapezoid sums, to within 4 eps relative.
+    q = shape[0] - 1
+    rows = [np.stack([np.broadcast_to(v, shape)[j] for v in samples[:2]]) for j in range(q + 1)]
+    tableaux = (
+        cost._integrate(samples, yp, h, shape),
+        cost._integrate_rows(rows, q, yp, h),
+        cost._integrate(samples, np.broadcast_to(yp, shape), h, shape),
+    )
+    exact = exact_straight_tableau(samples, yp, h, shape)
+    bound = 4 * Fraction(float(np.finfo(float).eps))
+    for tableau in tableaux:
+        for entry, got in enumerate(tableau):
+            assert np.shape(got) == shape[1:]
+            for p, value in enumerate(np.ravel(got)):
+                want = exact[p][entry]
+                assert abs(Fraction(float(value)) - want) <= bound * abs(want)
 
 
 def test_off_lattice_ordinates_are_not_sampled():
