@@ -125,13 +125,13 @@ def _object(raw, where: str) -> dict:
 
 
 def _number(value, where: str, kind=float):
-    # JSON admits NaN, Infinity and booleans, which no option can take.
+    # JSON admits strings, booleans, NaN and Infinity, which no option can
+    # take, and an integer option takes only integral values.
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = kind(value)
-        if np.isfinite(number):
-            return number
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            number = kind(value)
+            if np.isfinite(number) and (kind is float or number == value):
+                return number
     except (TypeError, ValueError, OverflowError):
         pass
     noun = "an integer" if kind is int else "a finite number"

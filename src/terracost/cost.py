@@ -30,13 +30,13 @@ Every batch of samples is laid out with the sample axis first: shape
 (q + 1, ...), where row j holds sample j of every piece.  Each step of the
 kernel is then one numpy operation over whole rows of pieces rather than a
 (q + 1)-long loop per piece, and its sums over samples run in a fixed
-order, so a piece gets the same bits in a batch of any shape: index order,
-except that a straight flat 2-D piece, whose density sqrt(1 + y'^2) is the
-same at every sample and scales each sum once, sums its interior rates from
-j = q - 1 down to 1, so that its running alpha sums add up to the sum of
-j * alpha_j.  :func:`_integrate_rows` takes the same steps in the same
-order with the rows fed one at a time, for the wide blocks of a stage
-lattice below.
+order, so a piece gets the same bits in a batch of any shape.  Straight
+flat 2-D pieces take :func:`_integrate_straight`, from a whole batch's
+stacked rows and a stage-lattice block's rows alike: their density
+sqrt(1 + y'^2) is the same at every sample and scales each sum once, and
+their interior rates are summed from j = q - 1 down to 1.  Other pieces
+take full rows, summed in index order; :func:`_integrate_rows` takes the
+same steps with the rows fed one at a time, for full 3-D lattice blocks.
 
 The kernel reads field values, not fields.  This module is the only one
 that samples fields, and :func:`sample_transitions` holds the one rule for
@@ -62,10 +62,12 @@ where a stage transition's samples come from.  There are three sources:
   points, so the values are the direct ones.
 
 A negative rate is refused at the samples some piece reads, whichever the
-source, and named at the piece's own sample point: (x_start + j*tau/q,
-y_from + (y_to - y_from)*j/q) for sample j of an arc.  A lattice whose
-alpha and beta samples are all non-negative cannot hand an arc a negative
-rate, so its arcs skip the check.
+source, by one check, :func:`_check_rates`, and named at the piece's own
+sample point: (x_start + j*tau/q, y_from + (y_to - y_from)*j/q) for sample
+j of an arc.  A lattice whose alpha and beta samples are all non-negative
+cannot hand an arc a negative rate, so its arcs skip the check; a block of
+a lattice holding a negative sample is stacked into one batch, which is
+checked and integrated like any other.
 
 Quadrature is a composite trapezoid rule with ``q`` subintervals per
 piece; the inner prefix integral uses trapezoid prefix sums over the same
@@ -190,33 +192,42 @@ def _sample(model: CostModel, xs, ys) -> _Samples:
     return _Samples(*rates, *partials)
 
 
-def _refuse_negative(name: str, values, shape, points, row=()) -> None:
-    # Refuse a negative rate ``name`` at any of the samples ``values`` of a
-    # batch of the given shape: all of it, or the sample row (j,) of it.
-    # points() gives the batch's sample (xs, ys), broadcasting to it, and is
-    # called only to name the first negative sample.
-    if (values < 0).any():
-        values = np.broadcast_to(values, shape[len(row):])
-        k = row + np.unravel_index(np.argmax(values < 0), values.shape)
-        x, y = (np.broadcast_to(p, shape)[k] for p in points())
-        raise NegativeRateError(
-            f"rate field '{name}' is negative ({float(values[k[len(row):]])!r}) "
-            f"at (x, y) = ({float(x)!r}, {float(y)!r})"
-        )
-
-
 def _check_rates(samples: _Samples, shape, points) -> None:
-    # Refuse a negative rate at any sample of a batch, alpha before beta.
+    # Refuse a negative rate at any sample of a batch of the given shape,
+    # alpha before beta, named at its first negative sample in index order.
+    # points() gives the batch's sample (xs, ys), broadcasting to it; both
+    # are broadcast only to name that sample.
     for name in ("alpha", "beta"):
-        _refuse_negative(name, getattr(samples, name), shape, points)
+        values = getattr(samples, name)
+        if (values < 0).any():
+            values = np.broadcast_to(values, shape)
+            k = np.unravel_index(np.argmax(values < 0), shape)
+            x, y = (np.broadcast_to(p, shape)[k] for p in points())
+            raise NegativeRateError(
+                f"rate field '{name}' is negative ({float(values[k])!r}) "
+                f"at (x, y) = ({float(x)!r}, {float(y)!r})"
+            )
 
 
-def _straight_tableau(first, interior, last, spread, q: int, h, yp) -> SegmentTableau:
-    # The tableau of straight flat pieces of slope yp from (alpha, beta) at
-    # samples 0 and q, their interior sums and the interior sum of j * alpha_j.
+def _integrate_straight(rows, yp, h) -> SegmentTableau:
+    """Integrate straight flat 2-D pieces of slope ``yp`` from their sample rows.
+
+    ``rows`` holds the q + 1 rows in order, each the stacked (alpha, beta)
+    of one sample of every piece: a stage-lattice block's views, or a batch
+    stacked on axis 1.  The density sqrt(1 + yp^2) is the same at every
+    sample, so it scales each sum once.  Interior rows are summed from
+    j = q - 1 down to 1, so the running alpha sums add up to the sum of
+    j * alpha_j; besides the rows, only those sums are kept.
+    """
+    q = len(rows) - 1
+    sums = rows[q - 1].copy()
+    spread = sums[0].copy()
+    for row in rows[q - 2 : 0 : -1]:
+        sums += row
+        spread += sums[0]
     step = h * np.sqrt(1.0 + yp * yp)
-    slope, build = _trapezoid(first, interior, last, step)
-    delivery = step * step * (0.5 * q * last[0] + spread)
+    slope, build = _trapezoid(rows[0], sums, rows[q], step)
+    delivery = step * step * (0.5 * q * rows[q][0] + spread)
     return SegmentTableau(delivery + build, slope, q * step)
 
 
@@ -226,15 +237,12 @@ def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
     The batch has the sample ``shape`` (q + 1, ...): row j holds sample j of
     every piece, so each step is one operation over whole rows.  The field
     ``samples``, the path slope ``yp`` at them and the sample spacing ``h``
-    of each piece broadcast against it.  A flat ``yp`` without a sample axis
-    marks straight pieces; sums over samples run as the module docstring says.
+    of each piece broadcast against it.  A ``yp`` without a sample axis
+    marks straight pieces, which in flat 2-D go to :func:`_integrate_straight`.
     """
     if samples.phi_x is None and np.ndim(yp) < len(shape):
-        # Rows q, q - 1, ..., 0 of (alpha, beta), stacked.
-        rates = np.stack([np.broadcast_to(v, shape) for v in samples[:2]], axis=1)[::-1]
-        sums = _running_sum(rates[1:-1])
-        spread = _running_sum(sums[:, 0].copy())[-1]
-        return _straight_tableau(rates[-1], sums[-1], rates[0], spread, shape[0] - 1, h, yp)
+        rates = np.stack([np.broadcast_to(v, shape) for v in samples[:2]], axis=1)
+        return _integrate_straight(rates, yp, h)
 
     if samples.phi_x is None:
         phi_arc = np.sqrt(1.0 + yp * yp)
@@ -260,26 +268,17 @@ def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
     return SegmentTableau(_trapz(prefix, h) + _trapz(build, h), slope, delta_len)
 
 
-def _integrate_rows(rows, q: int, yp, h) -> SegmentTableau:
-    """:func:`_integrate` for straight pieces whose q + 1 sample rows come one at a time.
+def _integrate_rows(rows, yp, h) -> SegmentTableau:
+    """:func:`_integrate` for straight full 3-D pieces, their rows fed one at a time.
 
-    ``rows`` yields the batch's rows in order, each the stacked fields of
+    ``rows`` holds the batch's rows in order, each the stacked fields of
     one sample of every piece, with the pieces' shape, which ``yp`` has too.
     The steps are _integrate's, in its order, so every piece gets the same
-    bits, but the batch keeps only a few arrays of that shape: the (alpha,
-    beta) sums and the alpha spread in flat 2-D (two adds per row), and in
-    full 3-D the prefix length, the interior sums of delivery, prefix *
-    delivery and build, and row 0's terms.
+    bits, but the batch keeps only a few arrays of that shape: the prefix
+    length, the interior sums of delivery, prefix * delivery and build, and
+    row 0's terms.
     """
-    rows = list(rows)
-    if len(rows[0]) == 2:  # flat 2-D: alpha and beta only
-        sums = rows[q - 1].copy()
-        spread = sums[0].copy()
-        for row in rows[q - 2 : 0 : -1]:
-            sums += row
-            spread += sums[0]
-        return _straight_tableau(rows[0], sums, rows[q], spread, q, h, yp)
-
+    q = len(rows) - 1
     half = 0.5 * h
     run = 1.0 + yp * yp
     phi = spare = inc = work = None
@@ -369,10 +368,10 @@ class _Lattice(NamedTuple):
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
     # Price the straight arcs (x_start, y_from) -> (x_start + tau, y_to),
     # whose arguments broadcast as in _linear_points, from field samples:
-    # taken at the arcs' own points when None, streamed row by row from a
-    # _Lattice, or as given.  Rates are checked unless the lattice holds no
-    # negative one; a lattice checks alpha on every row before beta, as a
-    # whole batch does.
+    # taken at the arcs' own points when None, read row by row from a
+    # _Lattice, or as given.  A lattice holding no negative rate is
+    # integrated from its rows unchecked; a block of one that does is
+    # stacked into a batch and checked and integrated as one.
     q = model.quadrature_subdivisions
 
     def points():
@@ -380,16 +379,16 @@ def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
 
     shape = (q + 1,) + np.broadcast(y_from, y_to).shape
     yp = (y_to - y_from) / tau
-    if not isinstance(samples, _Lattice):
-        if samples is None:
-            samples = _sample(model, *points())
-        _check_rates(samples, shape, points)
-        return _integrate(samples, yp, tau / q, shape)
-    if samples.negative:
-        for i, name in enumerate(("alpha", "beta")):
-            for j, row in enumerate(samples.rows(y_from, y_to)):
-                _refuse_negative(name, row[i], shape, points, (j,))
-    return _integrate_rows(samples.rows(y_from, y_to), q, yp, tau / q)
+    if isinstance(samples, _Lattice):
+        rows = list(samples.rows(y_from, y_to))
+        if not samples.negative:
+            flat = model.mode is CostMode.FLAT_2D
+            return (_integrate_straight if flat else _integrate_rows)(rows, yp, tau / q)
+        samples = _Samples(*np.stack(rows, axis=1))
+    elif samples is None:
+        samples = _sample(model, *points())
+    _check_rates(samples, shape, points)
+    return _integrate(samples, yp, tau / q, shape)
 
 
 def _arc_axes(y_from, y_to):

@@ -30,22 +30,17 @@ class EnumerationResult:
     singletons); ties in cost resolve to the lexicographically smallest
     index sequence.  ``additive`` is True when every arc of the grid has a
     prefix slope of exactly 0 (no delivery cost), the case in which the
-    forward sweep is exact.  ``costs``, when kept, is the cost of every
-    enumerated path in lexicographic path order.
+    forward sweep is exact.
     """
 
     best_path: list[int]
     best_cost: float
     paths_evaluated: int
     additive: bool
-    costs: np.ndarray | None = None
 
 
 def enumerate_paths(
-    grid: dp.StageGrid,
-    spec: dp.ProblemSpec,
-    cap: int = DEFAULT_CAP,
-    keep_costs: bool = False,
+    grid: dp.StageGrid, spec: dp.ProblemSpec, cap: int = DEFAULT_CAP
 ) -> EnumerationResult:
     """Evaluate every grid path and return the true discrete minimum.
 
@@ -93,5 +88,4 @@ def enumerate_paths(
         best_cost=best_cost,
         paths_evaluated=costs.size,
         additive=additive,
-        costs=costs if keep_costs else None,
     )

@@ -284,6 +284,37 @@ RITZ = {"method": "ritz", "K": 2, "budget": 10}
             "solver.tau must be a finite number, got 'abc'",
             id="tau-not-a-number",
         ),
+        # JSON strings are not numbers, and integer options take no fractions.
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "dp", "tau": "0.25"}},
+            "solver.tau must be a finite number, got '0.25'",
+            id="tau-a-string",
+        ),
+        pytest.param(
+            ["solve"],
+            {"problem": {"l": "1", "y_l": 1.0}},
+            "problem.l must be a finite number, got '1'",
+            id="l-a-string",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "dp", "tau": 0.125, "q": 16.5}},
+            "solver.q must be an integer, got 16.5",
+            id="q-fractional",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {**RITZ, "K": 2.999}},
+            "solver.K must be an integer, got 2.999",
+            id="K-fractional",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "dp", "tau": 0.125, "refine_levels": 0.5}},
+            "solver.refine_levels must be an integer, got 0.5",
+            id="refine-levels-fractional",
+        ),
         pytest.param(
             ["solve"], {"verify": 5}, "verify must be a JSON object", id="verify-not-an-object"
         ),

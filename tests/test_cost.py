@@ -261,16 +261,23 @@ def negative_rate_messages(model, x0, tau, y_lo, delta, y_from, blocks):
 
 
 @pytest.mark.parametrize(
-    "alpha, beta",
-    [("(x-0.5)^2+(y-0.5)^2-0.001", "1"), ("0", "(x-0.5)^2+(y-0.4375)^2-0.001")],
-    ids=["alpha", "beta"],
+    "alpha, beta, phi",
+    [
+        ("(x-0.5)^2+(y-0.5)^2-0.001", "1", None),
+        ("0", "(x-0.5)^2+(y-0.4375)^2-0.001", None),
+        ("(x-0.5)^2+(y-0.5)^2-0.001", "1", "sin(5*x)*sin(y)"),
+    ],
+    ids=["alpha", "beta", "full3d"],
 )
-def test_gathered_negative_rate_names_the_direct_sample(alpha, beta):
+def test_gathered_negative_rate_names_the_direct_sample(alpha, beta, phi):
     # Gathered from the stage lattice or priced directly, a negative rate is
     # reported at the same sample: same field, same value, same (x, y).  The
     # steps are dyadic, so lattice and arc sample points are the same floats;
     # the lowest ordinate k = 1 and the block slices shift the gather index.
-    model = flat_model(alpha=alpha, beta=beta)
+    if phi is None:
+        model = flat_model(alpha=alpha, beta=beta)
+    else:
+        model = full3d_model(phi, alpha=alpha, beta=beta)
     delta = 1 / 64
     y_from, y_to = delta * np.arange(1, 57), delta * np.arange(2, 58)
     messages = negative_rate_messages(model, 0.25, 0.5, 0.0, delta, y_from, (y_to, y_to[3:40]))
@@ -432,8 +439,9 @@ def test_gather_reads_each_arcs_lattice_entries(make_spec):
     "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
 )
 def test_row_kernel_has_the_bits_of_the_whole_batch_kernel(make_spec, q):
-    # Fed the same gathered samples, one row at a time or as one
-    # (q + 1, F, T) batch, the kernel gives every arc the same bits.
+    # A block priced from the stage lattice, as the sweep prices it, has the
+    # bits of the whole-batch kernel fed the same samples as one
+    # (q + 1, F, T) batch, in flat 2-D and in full 3-D alike.
     model = make_spec(q).model
     delta, tau, x0 = 1 / 64, 1 / 16, 0.3125
     for y_from, y_to, blocks in lattice_cases():
@@ -442,10 +450,9 @@ def test_row_kernel_has_the_bits_of_the_whole_batch_kernel(make_spec, q):
             y_f, y_t = cost._arc_axes(block_from, block_to)
             shape = (q + 1, block_from.size, block_to.size)
             gathered = cost._Samples(*reference_gather(lattice, block_from, block_to))
-            yp = (y_t - y_f) / tau
-            whole = cost._integrate(gathered, yp, tau / q, shape)
-            rows = cost._integrate_rows(lattice.rows(y_f, y_t), q, yp, tau / q)
-            for got, want in zip(rows, whole):
+            whole = cost._integrate(gathered, (y_t - y_f) / tau, tau / q, shape)
+            priced = segment_cost_batch(model, x0, tau, block_from, block_to, samples=lattice)
+            for got, want in zip(priced, whole):
                 assert got.shape == want.shape == shape[1:]
                 assert np.array_equal(got, want)
 
@@ -508,15 +515,16 @@ def straight_flat_cases():
     ids=["single-arc", "one-row", "block", "spike-q2", "spike-q4", "spike-q16"],
 )
 def test_flat_straight_tableau_matches_exact_trapezoid(samples, yp, h, shape):
-    # A straight flat piece's density is the same at every sample, so both
-    # kernels factor it out of the sums; the full-row branch, which a slope
-    # broadcast to the sample shape takes, multiplies it in on every row.
-    # All three round the same trapezoid sums, to within 4 eps relative.
+    # A straight flat piece's density is the same at every sample, so it is
+    # factored out of the sums, whether the rows come as one batch or one at
+    # a time; the full-row branch, which a slope broadcast to the sample
+    # shape takes, multiplies it in on every row.  All three round the same
+    # trapezoid sums, to within 4 eps relative.
     q = shape[0] - 1
     rows = [np.stack([np.broadcast_to(v, shape)[j] for v in samples[:2]]) for j in range(q + 1)]
     tableaux = (
         cost._integrate(samples, yp, h, shape),
-        cost._integrate_rows(rows, q, yp, h),
+        cost._integrate_straight(rows, yp, h),
         cost._integrate(samples, np.broadcast_to(yp, shape), h, shape),
     )
     exact = exact_straight_tableau(samples, yp, h, shape)

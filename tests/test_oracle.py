@@ -129,19 +129,20 @@ def test_gap_reported_for_ridge_problem():
     print(f"ridge-problem gap at coarse grid: {gap:.3e}")
 
 
-def test_enumeration_order_independence():
-    rng = np.random.default_rng(109)
-    spec, grid = random_instance(rng, zero_alpha=False)
-    result = enumerate_paths(grid, spec, keep_costs=True)
-    costs = result.costs
-    perm = rng.permutation(costs.size)
-    shuffled = costs[perm]
-    best_value = shuffled.min()
-    assert best_value == result.best_cost
-    # Lexicographic tie-break applied at the end: smallest original path id
-    # among the minima.
-    tied = perm[shuffled == best_value]
-    assert tied.min() == int(np.argmin(costs))
+def test_enumeration_tie_breaks_to_smallest_index():
+    # y_l = 0 over a symmetric corridor: the two middle nodes price exactly
+    # alike, and enumeration, like the sweep, picks the lower index.
+    model = CostModel(
+        alpha=field_from_expression("0"),
+        beta=field_from_expression("1"),
+        mode=CostMode.FLAT_2D,
+    )
+    spec = ProblemSpec(l=1.0, y_l=0.0, corridor=(-0.25, 0.25), model=model)
+    grid = build_grid(spec, 0.5, 0.5)
+    assert grid.stages[1].tolist() == [-0.25, 0.25]
+    result = enumerate_paths(grid, spec)
+    assert result.best_path == [0, 0, 0]
+    assert result.best_cost == dp.solve(grid, spec).cost
 
 
 def test_cap_refusal_reports_count():
