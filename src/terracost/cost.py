@@ -19,9 +19,10 @@ In the flattened 2-D mode z' is dropped entirely and the relief is ignored.
 One kernel, :func:`_integrate`, integrates.  It prices a batch of pieces
 (segments or mesh cells), each with q + 1 samples, as the affine split
 delta_j = fixed_cost + prefix_slope * len_start plus the piece's own arc
-length, and leaves the ``len_start`` threading to its three callers:
+length, and leaves the ``len_start`` threading to its callers:
 
 * :func:`segment_cost_batch` - every from/to pair of one stage transition;
+* :func:`sample_transitions` - every arc of a run of stage transitions;
 * :func:`path_cost_profile`  - all segments of one polyline at once;
 * :func:`smooth_path_cost`   - the mesh cells of a smooth candidate curve,
   sampled on a :func:`smooth_mesh`.
@@ -58,8 +59,11 @@ where a stage transition's samples come from.  There are three sources:
   differently from the arcs' own, so gathered values agree with direct
   ones to rounding only;
 * a run of consecutive other transitions whose arcs fit in one budget,
-  sampled at all its arcs' own points in one call.  These are the direct
-  points, so the values are the direct ones.
+  sampled at all its arcs' own points in one call and integrated in one
+  kernel call, as a (q + 1, arcs) batch with each arc's own slope and
+  spacing; each transition's call then hands back its share of the
+  tableau.  These are the direct points and the kernel's steps act on each
+  arc alone, so the tableau is the direct one, bit for bit.
 
 A negative rate is refused at the samples some piece reads, whichever the
 source, by one check, :func:`_check_rates`, and named at the piece's own
@@ -67,7 +71,9 @@ sample point: (x_start + j*tau/q, y_from + (y_to - y_from)*j/q) for sample
 j of an arc.  A lattice whose alpha and beta samples are all non-negative
 cannot hand an arc a negative rate, so its arcs skip the check; a block of
 a lattice holding a negative sample is stacked into one batch, which is
-checked and integrated like any other.
+checked and integrated like any other.  A run holding a negative rate
+sample is not integrated: its transitions sample their own arcs, so the
+error comes in stage order.
 
 Quadrature is a composite trapezoid rule with ``q`` subintervals per
 piece; the inner prefix integral uses trapezoid prefix sums over the same
@@ -368,10 +374,10 @@ class _Lattice(NamedTuple):
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
     # Price the straight arcs (x_start, y_from) -> (x_start + tau, y_to),
     # whose arguments broadcast as in _linear_points, from field samples:
-    # taken at the arcs' own points when None, read row by row from a
-    # _Lattice, or as given.  A lattice holding no negative rate is
-    # integrated from its rows unchecked; a block of one that does is
-    # stacked into a batch and checked and integrated as one.
+    # taken at the arcs' own points when None, or read row by row from a
+    # _Lattice.  A lattice holding no negative rate is integrated from its
+    # rows unchecked; a block of one that does is stacked into a batch and
+    # checked and integrated as one.
     q = model.quadrature_subdivisions
 
     def points():
@@ -385,7 +391,7 @@ def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
             flat = model.mode is CostMode.FLAT_2D
             return (_integrate_straight if flat else _integrate_rows)(rows, yp, tau / q)
         samples = _Samples(*np.stack(rows, axis=1))
-    elif samples is None:
+    else:
         samples = _sample(model, *points())
     _check_rates(samples, shape, points)
     return _integrate(samples, yp, tau / q, shape)
@@ -417,29 +423,32 @@ def _sample_lattice(model: CostModel, y_lo, delta, x_start, tau, y_from, y_to):
 
 def _run_entries(model: CostModel, run) -> list:
     # One entry per transition of a run: a run of two or more samples its
-    # fields at all its arcs' own points in one call and shares them out.
-    # A lone transition, or a run where a field refuses a point, gets None:
-    # each transition then samples its own arcs, so errors come in stage
-    # order.
+    # fields at all its arcs' own points in one call, integrates them as one
+    # (q + 1, arcs) batch and shares out each transition's tableau.  A lone
+    # transition, or a run where a field refuses a point or a rate sample is
+    # negative, gets None: each transition then samples its own arcs, so
+    # errors come in stage order.
     if len(run) < 2:
         return [None] * len(run)
     q = model.quadrature_subdivisions
-    points = [
-        _linear_points(q, x_start, tau, *_arc_axes(y_from, y_to))
-        for x_start, tau, y_from, y_to in run
-    ]
-    xs = np.concatenate([np.broadcast_to(x, y.shape) for x, y in points], axis=None)
-    ys = np.concatenate([y for _, y in points], axis=None)
+    shapes = [(len(y_from), len(y_to)) for _, _, y_from, y_to in run]
+    arcs = [f * t for f, t in shapes]
+    # Every arc of the run on one axis, each transition's in (from, to) order.
+    x_start, tau = (np.repeat([transition[i] for transition in run], arcs) for i in (0, 1))
+    y_from = np.concatenate([np.repeat(y_f, len(y_t)) for _, _, y_f, y_t in run])
+    y_to = np.concatenate([np.repeat([y_t], len(y_f), 0).ravel() for _, _, y_f, y_t in run])
+    xs, ys = _linear_points(q, x_start, tau, y_from, y_to)
     try:
         fields = _sample(model, xs, ys)
     except (ExprDomainError, FieldDomainError):
         return [None] * len(run)
+    if any((rate < 0).any() for rate in fields[:2]):
+        return [None] * len(run)
+    tableau = _integrate(fields, (y_to - y_from) / tau, tau / q, ys.shape)
     out, stop = [], 0
-    for _, y in points:
-        start, stop = stop, stop + y.size
-        # A constant field may come back as a scalar; every transition shares it.
-        values = (v if np.ndim(v) == 0 else v[start:stop].reshape(y.shape) for v in fields)
-        out.append(_Samples(*values))
+    for shape, size in zip(shapes, arcs):
+        start, stop = stop, stop + size
+        out.append(SegmentTableau(*(v[start:stop].reshape(shape) for v in tableau)))
     return out
 
 
@@ -455,9 +464,11 @@ def sample_transitions(model: CostModel, transitions, y_lo: float, delta: float,
       and all its ordinates are lattice ordinates y_lo + k*delta;
     * otherwise the transition joins a run of consecutive such transitions
       whose arcs together number at most ``budget``.  A run of two or more
-      gets its share of fields sampled at all its arcs in one call;
+      is sampled at all its arcs and integrated in one call, and each of
+      its transitions gets its share of the tableau;
     * None, to sample the arcs directly: a lone transition, an off-lattice
-      one, and every transition of a run where a field refuses a point.
+      one, and every transition of a run where a field refuses a point or
+      a rate sample is negative.
 
     Nothing is sampled before the transitions ahead of it are consumed.
     """
@@ -486,7 +497,7 @@ def segment_cost_batch(
     y_from,
     y_to,
     *,
-    samples: _Lattice | _Samples | None = None,
+    samples: _Lattice | SegmentTableau | None = None,
 ) -> SegmentTableau:
     """Evaluate all from x to pairs of one stage transition in one call.
 
@@ -494,11 +505,14 @@ def segment_cost_batch(
     linear segment from (x_start, y_from[k]) to (x_start + tau, y_to[s]).
     Without ``samples`` the fields are evaluated at the pairs' samples;
     with this transition's :func:`sample_transitions` entry they are taken
-    from there.  The integration is the same either way, and a negative rate
-    is refused at any sample an arc reads.
+    from there, or, for a run's transition, the entry is the whole
+    transition's tableau, already integrated.  The integration is the same
+    either way, and a negative rate is refused at any sample an arc reads.
     """
     if tau <= 0:
         raise ValueError(f"segment width must be positive, got {tau}")
+    if isinstance(samples, SegmentTableau):
+        return samples
     return _linear_tableau(model, x_start, tau, *_arc_axes(y_from, y_to), samples)
 
 

@@ -25,10 +25,11 @@ fields) stops the sweep with an error naming its stage, so it can never pick
 a path.
 
 Where each transition's field samples come from (its arcs' own points, a
-stage lattice sampled once, or a run of transitions sampled in one call)
-is decided by :func:`terracost.cost.sample_transitions`.  The sweep prices
-each transition by its own ``segment_cost_batch`` call and checks its
-labels before the next one's, so results and errors are those of sampling
+stage lattice sampled once, or a run of transitions sampled and
+integrated in one call) is decided by
+:func:`terracost.cost.sample_transitions`.  The sweep prices each
+transition by its own ``segment_cost_batch`` call and checks its labels
+before the next one's, so results and errors are those of sampling
 transition by transition.
 
 Refinement follows the coupling delta_k = gamma * tau_k^(1+eps): halving
@@ -254,8 +255,8 @@ def solve(grid: StageGrid, spec: ProblemSpec) -> Trajectory:
     """Run the forward sweep and backtrack the optimal polyline.
 
     Results are independent of the block split and, for fields evaluated
-    pointwise, of how transitions are grouped into runs for field sampling,
-    bit for bit.  The returned trajectory's cost is the terminal label,
+    pointwise, of how transitions are grouped into runs for field sampling
+    and integration, bit for bit.  The returned trajectory's cost is the terminal label,
     which by construction of the prefix threading equals the polyline's
     path cost (to rounding where arcs gather their samples from a stage
     lattice).

@@ -57,11 +57,12 @@ def step(incumbent: Incumbent, m: int, grid: dp.StageGrid, spec: dp.ProblemSpec)
     Windows keep the ordinates within m lattice steps of the incumbent knot
     (endpoint stages stay singletons).  A window transition holds at most
     (2m+1)^2 arcs, so it is relaxed in one block, and a window grid of up to
-    8,192 arcs (one relaxation block) samples each field once for the whole
-    sweep.  Should the scalar-label sweep ever price its
-    polyline above the incumbent - possible in principle when the delivery
-    rate couples segments - the incumbent's ordinates are kept, which
-    :func:`run` treats as convergence.
+    8,192 arcs (one relaxation block) is one run: each field is sampled
+    once and the cost kernel runs once for the whole sweep, which then only
+    relaxes each transition from its share of the run's tableau.  Should
+    the scalar-label sweep ever price its polyline above the incumbent -
+    possible in principle when the delivery rate couples segments - the
+    incumbent's ordinates are kept, which :func:`run` treats as convergence.
     """
     if m < 1:
         raise ValueError(f"window radius m must be >= 1, got {m}")

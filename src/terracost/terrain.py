@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Protocol
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .expr import Expression, Scalar, parse
 
@@ -137,47 +138,50 @@ def write_heightmap(heightmap: Heightmap, path: str | Path) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def _cr_weights(t):
-    # Catmull-Rom basis on a unit cell, nodes f[-1], f[0], f[1], f[2].
-    t2 = t * t
-    t3 = t2 * t
-    return (
-        -0.5 * t + t2 - 0.5 * t3,
-        1.0 - 2.5 * t2 + 1.5 * t3,
-        0.5 * t + 2.0 * t2 - 1.5 * t3,
-        -0.5 * t2 + 0.5 * t3,
-    )
+# Catmull-Rom on a unit cell (Keys 1981, a = -1/2): row a holds the t^a
+# coefficients of the weights of the nodes f[-1], f[0], f[1], f[2].
+_CATMULL_ROM = np.array(
+    [[0.0, 1.0, 0.0, 0.0], [-0.5, 0.0, 0.5, 0.0], [1.0, -2.5, 2.0, -0.5], [-0.5, 1.5, -1.5, 0.5]]
+)
 
 
-def _cr_dweights(t):
-    t2 = t * t
-    return (
-        -0.5 + 2.0 * t - 1.5 * t2,
-        -5.0 * t + 4.5 * t2,
-        0.5 + 4.0 * t - 4.5 * t2,
-        -t + 1.5 * t2,
-    )
+def _horner(c, t):
+    # The cubic with coefficients c[..., 0..3], by power of t, at t.
+    return ((c[..., 3] * t + c[..., 2]) * t + c[..., 1]) * t + c[..., 0]
+
+
+def _horner_slope(c, t):
+    # Its derivative in t.
+    return (3.0 * c[..., 3] * t + 2.0 * c[..., 2]) * t + c[..., 1]
 
 
 class HeightmapField:
     """C^1 interpolant of a heightmap (bicubic, Catmull-Rom tangents).
 
-    Reproduces samples exactly at grid nodes; partial derivatives are the
-    interpolant's analytic derivatives.  Edge rows/columns are clamped, which
-    keeps the surface C^1 across every interior cell boundary.  Queries
-    outside the footprint raise :class:`FieldDomainError`.
+    Reproduces samples at grid nodes: exactly where a cell starts, to
+    rounding on the far edge of the last row and column (t = 1).  Partial
+    derivatives are the interpolant's analytic derivatives.  Edge
+    rows/columns are clamped, which keeps the surface C^1 across every
+    interior cell boundary.  Each cell's bicubic is stored as its 4x4
+    polynomial coefficients C = M P M^T, from the cell's clamped 4x4
+    stencil P and the Catmull-Rom matrix M: 128 bytes per cell, built once.
+    Queries outside the footprint, or not finite, raise
+    :class:`FieldDomainError`.
     """
 
     def __init__(self, heightmap: Heightmap):
         self._h = heightmap
+        stencils = sliding_window_view(np.pad(heightmap.z, 1, mode="edge"), (4, 4))
+        # C[a, b] multiplies ty^a tx^b; 16 contiguous numbers per cell.
+        self._coef = (_CATMULL_ROM @ stencils @ _CATMULL_ROM.T).reshape(-1, 4, 4)
 
     def _locate(self, coord, origin, step, count, axis):
         u = (np.asarray(coord, dtype=float) - origin) / step
         n_cells = count - 1
         tol = 1e-9 * max(1.0, n_cells)
-        if np.any(u < -tol) or np.any(u > n_cells + tol):
+        if not np.all((u >= -tol) & (u <= n_cells + tol)):
             raise FieldDomainError(
-                f"{axis} query outside heightmap footprint (0..{n_cells} cells)"
+                f"{axis} query not finite or outside heightmap footprint (0..{n_cells} cells)"
             )
         u = np.clip(u, 0.0, float(n_cells))
         idx = np.minimum(np.floor(u).astype(int), n_cells - 1)
@@ -185,19 +189,15 @@ class HeightmapField:
 
     def _evaluate(self, ix, tx, iy, ty, want_partials):
         h = self._h
-        offs = np.arange(-1, 3)
-        rows = np.clip(np.asarray(iy)[..., None] + offs, 0, h.nrows - 1)
-        cols = np.clip(np.asarray(ix)[..., None] + offs, 0, h.ncols - 1)
-        patch = h.z[rows[..., :, None], cols[..., None, :]]  # (..., y-stencil, x-stencil)
-        wx = np.stack(_cr_weights(tx), axis=-1)
-        wy = np.stack(_cr_weights(ty), axis=-1)
-        v = np.einsum("...ij,...i,...j->...", patch, wy, wx)
+        c = np.take(self._coef, np.asarray(iy) * (h.ncols - 1) + ix, axis=0)
+        tx = np.asarray(tx)[..., None]
+        # Horner in tx for each power of ty, then in ty.
+        rows = _horner(c, tx)
+        v = _horner(rows, ty)
         if not want_partials:
             return v, None, None
-        dwx = np.stack(_cr_dweights(tx), axis=-1)
-        dwy = np.stack(_cr_dweights(ty), axis=-1)
-        vx = np.einsum("...ij,...i,...j->...", patch, wy, dwx) / h.hx
-        vy = np.einsum("...ij,...i,...j->...", patch, dwy, wx) / h.hy
+        vx = _horner(_horner_slope(c, tx), ty) / h.hx
+        vy = _horner_slope(rows, ty) / h.hy
         return v, vx, vy
 
     def _interp(self, x, y, want_partials):

@@ -34,6 +34,7 @@ from terracost.ritz import RitzCandidate, candidate_eval
 from conftest import (
     SERIES_COEFFS_RELIEF,
     SERIES_COEFFS_RIDGE,
+    make_masked_heightmap_spec,
     make_relief3d_spec,
     make_ridge2d_spec,
 )
@@ -551,6 +552,60 @@ def test_off_lattice_ordinates_are_not_sampled():
     entries = list(sample_transitions(model, transitions, -0.37, 1 / 64, budget=8192))
     assert isinstance(entries[0], cost._Lattice)
     assert entries[1:] == [None, None]
+
+
+def window_transitions(n=12, delta=1 / 64):
+    """A descent's window transitions on the lattice k * delta.
+
+    Fans from the start and into the terminal, three-node windows along
+    the chord, and every third window with a hole, as a mask leaves it.
+    """
+    xs = np.arange(n + 1) / n
+    stages = [np.array([0.0])]
+    for i in range(1, n):
+        k = round(i / n / delta) + np.array([-2, 0, 1] if i % 3 == 0 else [-1, 0, 1])
+        stages.append(delta * k)
+    stages.append(np.array([1.0]))
+    return [(xs[i], xs[i + 1] - xs[i], stages[i], stages[i + 1]) for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [make_ridge2d_spec, make_relief3d_spec, make_masked_heightmap_spec],
+    ids=["flat2d", "full3d", "heightmap"],
+)
+@pytest.mark.parametrize("budget, kernel_calls", [(8192, 1), (20, 6)], ids=["one-run", "six-runs"])
+def test_run_entries_have_the_bits_of_direct_pricing(monkeypatch, make_spec, budget, kernel_calls):
+    # A run is sampled and integrated in one kernel call, and hands each
+    # transition its share: the tableau that pricing the transition alone,
+    # from its own samples, gives bit for bit.  A budget of 20 arcs splits
+    # the 3 + 10 * 9 + 3 arcs into six runs of two transitions each.
+    model = make_spec().model
+    transitions = window_transitions()
+    integrate, calls = cost._integrate, []
+    monkeypatch.setattr(cost, "_integrate", lambda *args: calls.append(1) or integrate(*args))
+    entries = list(sample_transitions(model, transitions, 0.0, 1 / 64, budget))
+    assert len(calls) == kernel_calls
+    assert all(isinstance(entry, cost.SegmentTableau) for entry in entries)
+    for transition, entry in zip(transitions, entries):
+        priced = segment_cost_batch(model, *transition, samples=entry)
+        direct = segment_cost_batch(model, *transition)
+        for got, want in zip(priced, direct):
+            assert got.shape == want.shape == (len(transition[2]), len(transition[3]))
+            assert np.array_equal(got, want)
+
+
+def test_a_run_with_a_negative_rate_sample_is_not_integrated():
+    # alpha = 0.92 - x is negative inside the last transition only.  Its
+    # run hands out no tableaux, so every transition prices its own arcs
+    # and the negative rate is refused by the last one, in stage order.
+    model = flat_model(alpha="0.92-x")
+    transitions = window_transitions()
+    assert list(sample_transitions(model, transitions, 0.0, 1 / 64, 8192)) == [None] * 12
+    for transition in transitions[:-1]:
+        segment_cost_batch(model, *transition)
+    with pytest.raises(NegativeRateError, match=r"'alpha' is negative .* = \(0\.9"):
+        segment_cost_batch(model, *transitions[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,91 @@ def test_query_outside_footprint_raises():
     f.value(0.0, 0.0)
 
 
+def test_non_finite_queries_raise():
+    # NaN fails every range test, so it is refused like a point outside
+    # the footprint, for scalar and array queries alike.
+    f = field_from_heightmap(sin_heightmap(8))
+    queries = [
+        (np.nan, 0.2),
+        (0.2, np.nan),
+        (np.inf, 0.2),
+        (np.array([0.1, np.nan, 0.3]), np.array([0.2, 0.2, 0.2])),
+        (np.array([0.1, 0.2]), np.array([-np.inf, 0.5])),
+    ]
+    for x, y in queries:
+        with pytest.raises(FieldDomainError, match="not finite or outside"):
+            f.value(x, y)
+        with pytest.raises(FieldDomainError):
+            f.value_and_partials(x, y)
+
+
+def reference_interpolant(hm, x, y):
+    """Value and partials from each point's clamped 4x4 stencil of samples.
+
+    The Catmull-Rom weights of both axes contracted with the stencil one
+    point at a time, with no precomputed coefficients.
+    """
+
+    def weights(t):
+        return np.stack([-0.5 * t + t * t - 0.5 * t**3, 1.0 - 2.5 * t * t + 1.5 * t**3,
+                         0.5 * t + 2.0 * t * t - 1.5 * t**3, -0.5 * t * t + 0.5 * t**3], axis=-1)
+
+    def slopes(t):
+        return np.stack([-0.5 + 2.0 * t - 1.5 * t * t, -5.0 * t + 4.5 * t * t,
+                         0.5 + 4.0 * t - 4.5 * t * t, -t + 1.5 * t * t], axis=-1)
+
+    def cell(coord, origin, step, count):
+        u = np.clip((coord - origin) / step, 0.0, count - 1.0)
+        idx = np.minimum(np.floor(u).astype(int), count - 2)
+        return idx, u - idx
+
+    (ix, tx), (iy, ty) = cell(x, hm.x0, hm.hx, hm.ncols), cell(y, hm.y0, hm.hy, hm.nrows)
+    offs = np.arange(-1, 3)
+    rows = np.clip(iy[:, None] + offs, 0, hm.nrows - 1)
+    cols = np.clip(ix[:, None] + offs, 0, hm.ncols - 1)
+    patch = hm.z[rows[:, :, None], cols[:, None, :]]
+    wx, wy, dwx, dwy = weights(tx), weights(ty), slopes(tx), slopes(ty)
+    terms = [
+        np.einsum("pij,pi,pj->p", patch, wy, wx),
+        np.einsum("pij,pi,pj->p", patch, wy, dwx) / hm.hx,
+        np.einsum("pij,pi,pj->p", patch, dwy, wx) / hm.hy,
+    ]
+    # The sums of the terms' magnitudes: the scale of each result's rounding.
+    scales = [
+        np.einsum("pij,pi,pj->p", np.abs(patch), np.abs(a), np.abs(b)) / h
+        for a, b, h in ((wy, wx, 1.0), (wy, dwx, hm.hx), (dwy, wx, hm.hy))
+    ]
+    return terms, scales
+
+
+def test_coefficient_interpolant_matches_the_stencil_formula():
+    # Random points, the borders of every cell (so t = 0 and, on the last
+    # row and column, t = 1) and the footprint's corners.
+    rng = np.random.default_rng(41)
+    hm = Heightmap(-0.3, 0.2, 0.11, 0.07, rng.normal(size=(9, 12)))
+    f = field_from_heightmap(hm)
+    gx = hm.x0 + hm.hx * np.arange(hm.ncols)
+    gy = hm.y0 + hm.hy * np.arange(hm.nrows)
+    border_x, border_y = np.meshgrid(gx, gy)
+    xs = [
+        rng.uniform(gx[0], gx[-1], 500),
+        border_x.ravel(),
+        np.full(50, gx[-1]),
+        rng.uniform(gx[0], gx[-1], 50),
+    ]
+    ys = [
+        rng.uniform(gy[0], gy[-1], 500),
+        border_y.ravel(),
+        rng.uniform(gy[0], gy[-1], 50),
+        np.full(50, gy[-1]),
+    ]
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    want, scales = reference_interpolant(hm, x, y)
+    for got, ref, scale in zip(f.value_and_partials(x, y), want, scales):
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    assert np.array_equal(f.value(x, y), f.value_and_partials(x, y)[0])
+
+
 def test_array_queries_match_scalar_queries():
     f = field_from_heightmap(sin_heightmap(16))
     rng = np.random.default_rng(31)
