@@ -35,9 +35,11 @@ import numpy as np
 
 from . import dp, localsearch, oracle, ritz
 from .cost import CostMode, CostModel, NegativeRateError, path_cost_profile
-from .expr import ExprSyntaxError
+from .expr import ExprDomainError, ExprSyntaxError
 from .terrain import (
+    FieldDomainError,
     ScalarField2D,
+    feasible,
     field_from_expression,
     field_from_heightmap,
     load_heightmap,
@@ -348,11 +350,31 @@ def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int):
     return rows, trajs[-1]
 
 
+def _outside_problem(spec: dp.ProblemSpec, xs, ys) -> list[str]:
+    """A warning naming the first knot outside the corridor or the mask's
+    feasible set, if any: ``ritz`` searches the whole plane."""
+    y_lo, y_hi = spec.corridor
+    inside = (ys >= y_lo) & (ys <= y_hi)
+    try:
+        allowed = inside & feasible(spec.mask, xs, ys)
+    except (ExprDomainError, FieldDomainError) as exc:
+        return [f"ritz ignores fields.mask, which cannot be evaluated on its path: {exc}"]
+    if allowed.all():
+        return []
+    k = int(np.argmin(allowed))
+    where = "where fields.mask > 0" if inside[k] else f"outside the corridor {list(spec.corridor)}"
+    return [
+        f"ritz ignores the corridor and the mask: knot {k} at (x, y) = "
+        f"({float(xs[k])!r}, {float(ys[k])!r}) lies {where}"
+    ]
+
+
 def _solve(config: RunConfig, spec: dp.ProblemSpec):
     """Dispatch on solver.method.
 
     Returns the trajectory, the report dict and the trajectory's
-    (cumulative length, cumulative cost) per knot, priced once.
+    (cumulative length, cumulative cost) per knot, priced once.  The
+    report's ``warnings`` are the solve's own, beside the config's.
     """
     s = config.solver
     report: dict = {"method": s.method, "iterations": None}
@@ -382,6 +404,7 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec):
                 "budget_exhausted": not result.converged,
                 "segment_cost_evaluations": None,
                 "wall_time_s": wall,
+                "warnings": _outside_problem(spec, xs, ys),
             }
         )
         return traj, report, (cum_len, cum_cost)
@@ -439,7 +462,7 @@ def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, profile, repor
 
     report_path = out_dir / config.output.report_json
     report = dict(report)
-    report["warnings"] = list(config.warnings)
+    report["warnings"] = [*config.warnings, *report.get("warnings", ())]
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     plot_path = out_dir / config.output.plot_data
@@ -466,6 +489,8 @@ def _load(args, grid_method: bool = False):
 def _cmd_solve(args) -> int:
     config, spec = _load(args)
     traj, report, profile = _solve(config, spec)
+    for message in report.get("warnings", ()):
+        print(f"warning: {message}", file=sys.stderr)
     paths = _write_outputs(config, spec, traj, profile, report, Path(args.out))
     print(f"J = {traj.cost:.6f} ({report['method']})")
     for p in paths:

@@ -31,7 +31,10 @@ Every batch of samples is laid out with the sample axis first: shape
 (q + 1, ...), where row j holds sample j of every piece.  Each step of the
 kernel is then one numpy operation over whole rows of pieces rather than a
 (q + 1)-long loop per piece, and its sums over samples run in a fixed
-order, so a piece gets the same bits in a batch of any shape.  Straight
+order, so a piece gets the same bits in a batch of any shape: the
+within-piece prefix by running sums, a trapezoid's interior rows by one
+reduction over rows, which numpy adds in row order (a batch of single
+samples keeps a running sum there too).  Straight
 flat 2-D pieces take :func:`_integrate_straight`, from a whole batch's
 stacked rows and a stage-lattice block's rows alike: their density
 sqrt(1 + y'^2) is the same at every sample and scales each sum once, and
@@ -44,7 +47,10 @@ that samples fields, and :func:`sample_transitions` holds the one rule for
 where a stage transition's samples come from.  There are three sources:
 
 * the arcs' own sample points, evaluated per call (:func:`segment_cost_batch`
-  without ``samples``, :func:`path_cost_profile`, :func:`smooth_path_cost`);
+  without ``samples``, :func:`path_cost_profile`, :func:`smooth_path_cost`).
+  A caller that samples the same abscissae again and again (``ritz`` on its
+  mesh) binds the model to them once with :func:`at_abscissae`, so each call
+  evaluates only the parts of its expression fields that read y;
 * the fine lattice of a stage transition, sampled once when it has fewer
   ordinates than the transition has arcs (a full stage to a full stage).
   A stage ordinate is y_lo + k*delta, so sample j of the arc from ordinate
@@ -83,19 +89,20 @@ sample points, so inner and outer sampling stay aligned.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .expr import ExprDomainError
-from .terrain import FieldDomainError, ScalarField2D
+from .terrain import ExpressionField, FieldDomainError, ScalarField2D
 
 __all__ = [
     "CostMode",
     "CostModel",
     "NegativeRateError",
     "SegmentTableau",
+    "at_abscissae",
     "path_cost",
     "path_cost_profile",
     "sample_transitions",
@@ -150,11 +157,12 @@ class SegmentTableau(NamedTuple):
     delta_len: np.ndarray
 
 
-# Rows at least this wide are summed by in-place row adds, narrower ones by
-# one accumulate (cumsum), which costs less per call but runs a strided loop
-# per column.  ritz's (15|16, 511) sums stay on accumulate: row adds timed
-# faster on those shapes alone, but a ritz-relief3d solve ran slower with
-# them in 5 of 5 pairs (numpy 2.4, x86-64).
+# Running sums of rows at least this wide are taken by in-place row adds,
+# narrower ones by one accumulate (cumsum), which costs less per call but
+# runs a strided loop per column.  Only the within-piece prefix still needs
+# running sums; ritz's (16, 511) prefix stays on accumulate: row adds timed
+# faster on that shape alone, but a ritz-relief3d solve ran slower with them
+# in 5 of 5 pairs (numpy 2.4, x86-64).
 _WIDE_ROW = 512
 
 
@@ -176,8 +184,16 @@ def _trapezoid(first, interior, last, h):
 
 
 def _trapz(g: np.ndarray, h) -> np.ndarray:
-    # Composite trapezoid along axis 0, overwriting g; h broadcasts against a row.
-    return _trapezoid(g[0], _running_sum(g[1:-1])[-1], g[-1], h)
+    # Composite trapezoid along axis 0, which may overwrite g; h broadcasts
+    # against a row.  Reducing axis 0 of a C-ordered batch adds whole rows
+    # in order, the bits of a running sum's last row; rows of one element
+    # keep the running sum, since numpy sums a lone contiguous axis pairwise.
+    interior = g[1:-1]
+    if interior[0].size > 1 and interior.flags.c_contiguous:
+        total = np.add.reduce(interior, axis=0)
+    else:
+        total = _running_sum(interior)[-1]
+    return _trapezoid(g[0], total, g[-1], h)
 
 
 class _Samples(NamedTuple):
@@ -187,6 +203,25 @@ class _Samples(NamedTuple):
     beta: np.ndarray
     phi_x: np.ndarray | None = None
     phi_y: np.ndarray | None = None
+
+
+def at_abscissae(model: CostModel, xs) -> CostModel:
+    """The model with its expression fields bound to the abscissae ``xs``.
+
+    Each :class:`~terracost.terrain.ExpressionField` the cost samples (phi
+    in full 3-D, then alpha, then beta) evaluates its y-free parts once,
+    here (see :meth:`~terracost.expr.Expression.at_x`); heightmap fields
+    pass through.  The bound model prices only samples at these ``xs``, to
+    the bits of ``model``.
+    """
+
+    def bound(field):
+        if isinstance(field, ExpressionField):
+            return ExpressionField(field.expression.at_x(xs))
+        return field
+
+    phi = bound(model.phi) if model.mode is CostMode.FULL_3D else model.phi
+    return replace(model, phi=phi, alpha=bound(model.alpha), beta=bound(model.beta))
 
 
 def _sample(model: CostModel, xs, ys) -> _Samples:

@@ -6,14 +6,17 @@ exact first partial derivatives by propagating dual numbers with two tangent
 components (d/dx, d/dy) through every node.
 
 Evaluation accepts scalars or numpy arrays; array inputs broadcast through
-the tree, which is what the quadrature kernels rely on for speed.
+the tree, which is what the quadrature kernels rely on for speed.  A solver
+that evaluates at the same abscissae many times binds the expression to
+them once with :meth:`Expression.at_x`: every part that does not read y is
+then evaluated once, with partials, and read back on each evaluation.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -214,7 +217,57 @@ class Call:
         return f"{self.func}({self.arg.render()})"
 
 
-Node = Union[Literal, Variable, Negate, Binary, Call]
+@dataclass(frozen=True, eq=False)
+class Sampled:
+    """A y-free subtree evaluated once at fixed abscissae: its (v, dx, dy).
+
+    The stored arrays are read-only and hold ``source``'s bits at those
+    abscissae only; ``render`` is the source's, so errors name it as before.
+    """
+
+    source: Node
+    v: Scalar
+    dx: Scalar
+    dy: Scalar
+
+    def _eval(self, x, y):
+        return self.v
+
+    def _dual(self, x, y):
+        return self.v, self.dx, self.dy
+
+    def render(self) -> str:
+        return self.source.render()
+
+
+Node = Union[Literal, Variable, Negate, Binary, Call, Sampled]
+
+
+def _bind(node: Node, x) -> tuple[Node, bool]:
+    # (node with each maximal y-free operation subtree replaced by its
+    # Sampled values at x, whether node reads no y).  A subtree whose
+    # evaluation leaves the domain keeps its own node, over bound children,
+    # so it raises when evaluated, in the order it would unbound.
+    if isinstance(node, Literal):
+        return node, True
+    if isinstance(node, Variable):
+        return node, node.name == "x"
+    if isinstance(node, Binary):
+        (lhs, lhs_free), (rhs, rhs_free) = _bind(node.lhs, x), _bind(node.rhs, x)
+        bound, free = replace(node, lhs=lhs, rhs=rhs), lhs_free and rhs_free
+    else:
+        arg, free = _bind(node.arg, x)
+        bound = replace(node, arg=arg)
+    if not free:
+        return bound, False
+    try:
+        values = bound._dual(x, None)
+    except ExprDomainError:
+        return bound, True
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return Sampled(node, *values), True
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +300,19 @@ class Expression:
     def render(self) -> str:
         """Unambiguous (fully parenthesized) serialization; re-parseable."""
         return self.root.render()
+
+    def at_x(self, x: Scalar) -> Expression:
+        """This expression bound to the abscissae ``x``.
+
+        Every maximal subtree that reads no y and holds an operation is
+        evaluated once here, with its partials, and becomes a read-only
+        leaf.  The bound expression gives the bits and errors of this one,
+        but only when evaluated at this same ``x``, broadcast against any
+        ``y``; at other abscissae its values are wrong.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            root, _ = _bind(self.root, x)
+        return Expression(root, self.source)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ Only the coefficients change between objective calls, so the trial-space
 basis (sin and cos of every mesh sample times every frequency, and the
 chord) is tabulated once per (span, end ordinate, K, mesh points, q), term
 axis first, and shared read-only; an evaluation then adds the K terms one
-whole row at a time before the field evaluation and pricing.
+whole row at a time before the field evaluation and pricing.  The mesh
+abscissae do not change either, so :func:`minimize` binds the cost model's
+expression fields to them once per solve (:func:`~terracost.cost.at_abscissae`):
+each evaluation then computes only the parts of a field that read y, to
+the bits of the unbound fields.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import CostModel, smooth_mesh, smooth_path_cost
+from .cost import CostModel, at_abscissae, smooth_mesh, smooth_path_cost
 
 __all__ = ["RitzCandidate", "RitzResult", "candidate_eval", "minimize", "objective"]
 
@@ -146,18 +150,23 @@ def minimize(
     1e-8 simplex spread or after ``budget`` objective evaluations, whichever
     comes first.  Exhausting the budget is reported via ``converged``, not
     raised.  The simplex always retains its best vertex, so the result never
-    exceeds the zero-coefficient cost.
+    exceeds the zero-coefficient cost.  Every evaluation prices on the
+    same mesh, so the fields are bound to its abscissae once, up front.
     """
     if basis_size < 1:
         raise ValueError(f"basis_size must be >= 1, got {basis_size}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    x0 = np.zeros(basis_size)
+    RitzCandidate(x0, span, end_ordinate, mesh_points)  # checks the trial space first
+    q = model.quadrature_subdivisions
+    xs, _, _ = _mesh_basis(span, end_ordinate, basis_size, mesh_points, q)
+    bound = at_abscissae(model, xs)
 
     def fun(a: np.ndarray) -> float:
         cand = RitzCandidate(a, span, end_ordinate, mesh_points)
-        return objective(cand, model)
+        return objective(cand, bound)
 
-    x0 = np.zeros(basis_size)
     simplex = np.vstack([x0, x0 + 0.1 * np.eye(basis_size)])
     x, cost, evaluations, converged = _nelder_mead(fun, simplex, budget, xatol=1e-8, fatol=1e-8)
     return RitzResult(

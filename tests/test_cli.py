@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -680,6 +681,79 @@ def test_ritz_method_via_cli(tmp_path):
     assert report["objective_evaluations"] >= 1
     data = read_csv_knots(out / "traj.csv")
     assert data.shape[0] == 128
+
+
+# A disc on the midpoint of the ritz-relief3d optimum, which ritz cannot see.
+RELIEF_DISC = "0.0025-(x-0.5009784735812133)^2-(y-0.12407024788278881)^2"
+
+
+def test_ritz_warns_of_a_path_through_the_mask(tmp_path, capsys):
+    runs = {}
+    for name, extra in (("clean", {}), ("masked", {"mask": {"expression": RELIEF_DISC}})):
+        config = write_config(
+            tmp_path,
+            name=f"{name}.json",
+            problem={"l": 1.0, "y_l": 1.0, "corridor": [0.0, 1.0], "mode": "full3d"},
+            fields={
+                "phi": {"expression": RELIEF_PHI},
+                "alpha": {"expression": "0.1"},
+                "beta": {"expression": "0.5"},
+                **extra,
+            },
+            solver={"method": "ritz", "K": 10, "M": 512, "q": 16, "budget": 50000},
+        )
+        out = tmp_path / name
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        runs[name] = out, report, capsys.readouterr().err
+    (clean, clean_report, clean_err), (masked, masked_report, masked_err) = runs.values()
+    assert clean_report["warnings"] == [] and "warning" not in clean_err
+    [message] = masked_report["warnings"]
+    assert re.fullmatch(
+        r"ritz ignores the corridor and the mask: knot \d+ at \(x, y\) = \(\S+, \S+\) "
+        r"lies where fields.mask > 0",
+        message,
+    )
+    assert masked_err.splitlines()[0] == f"warning: {message}"
+    # The mask changes nothing but the warning.
+    for key in ("wall_time_s", "warnings"):
+        clean_report.pop(key), masked_report.pop(key)
+    assert masked_report == clean_report
+    assert masked_report["objective_evaluations"] == 1185
+    for output in ("traj.csv", "plot.dat"):
+        assert (masked / output).read_bytes() == (clean / output).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mask,ys,knot,where",
+    [
+        (None, [0.0, 0.5, 1.0], None, None),
+        (None, [0.0, 1.25, -0.5, 1.0], 1, "outside the corridor [0.0, 1.0]"),
+        ("y-0.4", [0.0, 0.3, 0.5, 1.5, 1.0], 2, "where fields.mask > 0"),
+        ("y-0.4", [0.0, 1.5, 0.5, 1.0], 1, "outside the corridor [0.0, 1.0]"),
+    ],
+)
+def test_ritz_path_check_names_the_first_offending_knot(mask, ys, knot, where):
+    # The mask vanishes at both ends, which must be feasible.
+    mask = None if mask is None else field_from_expression(f"({mask})*x*(1-x)")
+    model = CostModel(field_from_expression("0"), field_from_expression("1"), mode=CostMode.FLAT_2D)
+    spec = dp.ProblemSpec(l=1.0, y_l=1.0, corridor=(0.0, 1.0), model=model, mask=mask)
+    xs = 0.125 * np.arange(len(ys))
+    found = cli._outside_problem(spec, xs, np.array(ys))
+    if knot is None:
+        assert found == []
+    else:
+        point = f"(x, y) = ({float(xs[knot])!r}, {ys[knot]!r})"
+        assert found == [f"ritz ignores the corridor and the mask: knot {knot} at {point} lies {where}"]
+
+
+def test_ritz_path_check_reports_a_mask_it_cannot_evaluate():
+    model = CostModel(field_from_expression("0"), field_from_expression("1"), mode=CostMode.FLAT_2D)
+    mask = field_from_expression("sqrt(y)-2")
+    spec = dp.ProblemSpec(l=1.0, y_l=1.0, corridor=(-1.0, 1.0), model=model, mask=mask)
+    [message] = cli._outside_problem(spec, np.array([0.0, 0.5, 1.0]), np.array([0.0, -0.5, 1.0]))
+    assert message.startswith("ritz ignores fields.mask, which cannot be evaluated on its path: ")
+    assert "sqrt of a negative value in 'sqrt(y)'" in message
 
 
 @pytest.mark.parametrize(

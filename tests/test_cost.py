@@ -315,6 +315,29 @@ def test_running_sum_branches_give_the_same_bits(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "shape",
+    [(15, 1), (15, 2), (15, 3, 1), (15, 1, 7), (15, 511), (15, 8192), "F(15, 511)"],
+    ids=str,
+)
+def test_trapz_sums_interior_rows_in_index_order(monkeypatch, shape):
+    # A first interior row of 2^53 absorbs each later row below 1 added
+    # alone, but not their sum, so summing them first (pairwise) shows.
+    fortran = isinstance(shape, str)
+    shape = (15, 511) if fortran else shape
+    g = np.random.default_rng(3).uniform(0.25, 0.75, (shape[0] + 2, *shape[1:]))
+    g[1] = 2.0**53
+    if fortran:
+        g = np.asfortranarray(g)
+    total = g[1].copy()
+    for row in g[2:-1]:
+        total = total + row
+    seen = []
+    monkeypatch.setattr(cost, "_trapezoid", lambda first, interior, last, h: seen.append(interior))
+    cost._trapz(g.copy(order="A"), 0.5)
+    assert seen[0].shape == total.shape and seen[0].tobytes() == total.tobytes()
+
+
+@pytest.mark.parametrize(
     "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
 )
 def test_an_arc_prices_the_same_bits_in_any_batch(make_spec):

@@ -18,9 +18,11 @@ from terracost.expr import (
     ExprSyntaxError,
     Literal,
     Negate,
+    Sampled,
     Variable,
     parse,
 )
+from terracost.cost import smooth_mesh
 from terracost.terrain import field_from_expression
 
 # Expressions exercising every operator/function with safe domains on [-2, 2]^2.
@@ -259,3 +261,100 @@ def test_constant_expression_broadcasts_against_arrays():
     # Literals stay scalar; downstream code must broadcast them itself.
     v = parse("0.5").eval(np.zeros(4), np.zeros(4))
     assert np.broadcast_to(v, (4,)).tolist() == [0.5] * 4
+
+
+# ---------------------------------------------------------------------------
+# binding to fixed abscissae
+
+BOUND_EXPRESSIONS = [
+    "sin(5*x)*sin(y)",
+    "cos(5*x)^2*cos(y)^2",
+    "y/(x-0.5)",
+    "x*y",
+    "sin(x+y)",
+    "x^y",
+    "exp(-x)*cos(3*y)",
+    "1/(1+x)",
+    "sin(5*x)-x^2",  # pure x
+    "x",
+    "cos(3*y)+y^2",  # pure y
+    "0.1",
+    "2*3-1",  # a constant with operations
+]
+
+
+def _mesh_points():
+    # (x, y) on ritz's (17, 511) mesh, on a 64-point mesh, and broadcast
+    # (q + 1, 1) x (q + 1, m), as a transition's arcs sample them.
+    rng = np.random.default_rng(11)
+    for mesh_points in (512, 64):
+        xs, _ = smooth_mesh(mesh_points, 1.0, 16)
+        yield xs, 0.2 + xs + 0.3 * np.sin(3 * xs) + rng.uniform(0.0, 0.1, xs.shape)
+    xs = 0.25 + 0.125 * (np.arange(17) / 16)[:, None]
+    yield xs, rng.uniform(0.1, 1.5, (17, 9))
+
+
+def _outcome(evaluate, x, y):
+    # The parts of one evaluation's result, each as (shape, dtype, bytes),
+    # or the error it raises.
+    try:
+        result = evaluate(x, y)
+    except ExprDomainError as exc:
+        return type(exc), str(exc)
+    parts = result if isinstance(result, tuple) else (result,)
+    return [(np.shape(p), np.asarray(p).dtype, np.asarray(p).tobytes()) for p in parts]
+
+
+@pytest.mark.parametrize("text", BOUND_EXPRESSIONS)
+def test_bound_expression_has_the_bits_of_the_unbound_one(text):
+    e = parse(text)
+    for x, y in _mesh_points():
+        bound = e.at_x(x)
+        assert bound.render() == e.render() and bound.source == e.source
+        for method in ("eval", "eval_dual"):
+            want = _outcome(getattr(e, method), x, y)
+            assert _outcome(getattr(bound, method), x, y) == want
+            assert _outcome(getattr(bound, method), x, y) == want  # reads, never writes
+
+
+def test_binding_replaces_maximal_y_free_operations():
+    x = np.linspace(0.0, 1.0, 5)
+    root = parse("cos(5*x)^2*cos(y)^2").at_x(x).root
+    assert isinstance(root.lhs, Sampled) and root.lhs.render() == "(cos((5.0*x))^2.0)"
+    assert isinstance(root.rhs, Binary) and isinstance(root.rhs.lhs, Call)
+    # Bare variables and literals stay leaves; y-bearing nodes stay operations.
+    root = parse("x*y + 2").at_x(x).root
+    assert root == parse("x*y + 2").root
+    assert isinstance(parse("sin(x)").at_x(x).root, Sampled)
+
+
+def test_bound_values_are_read_only():
+    x = np.linspace(0.0, 1.0, 5)
+    bound = parse("sin(5*x)+x^2").at_x(x)
+    for part in (bound.eval(x, 0.0), *bound.eval_dual(x, 0.0)):
+        if isinstance(part, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "log(x) + sqrt(y)",  # the y-free operand fails first
+        "sqrt(y) + log(x)",  # the y-bearing operand fails first
+        "y*(1/x)",
+        "log(x)*sin(5*x) + y",  # a failing parent over a bindable child
+        "sqrt(x - 0.5)*y",
+    ],
+)
+def test_failing_y_free_subtree_raises_the_unbound_error_in_order(text):
+    # x = 0 is on the mesh, and so is y < 0 in the first y: either operand
+    # of a sum may fail first.
+    x = np.linspace(0.0, 1.0, 9)[:, None]
+    e = parse(text)
+    bound = e.at_x(x)  # binding itself never raises
+    for y in (np.linspace(-1.0, 1.0, 4), np.linspace(0.5, 1.0, 4)):
+        for method in ("eval", "eval_dual"):
+            want = _outcome(getattr(e, method), x, y)
+            assert isinstance(want[0], type)
+            assert _outcome(getattr(bound, method), x, y) == want

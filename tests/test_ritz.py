@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 
 import terracost
-from terracost import CostMode, CostModel, field_from_expression, smooth_mesh, smooth_path_cost
+from terracost import (
+    CostMode,
+    CostModel,
+    Heightmap,
+    field_from_expression,
+    field_from_heightmap,
+    smooth_mesh,
+    smooth_path_cost,
+)
+from terracost.cost import at_abscissae
+from terracost.expr import Sampled
 from terracost.ritz import (
     RitzCandidate,
     _mesh_basis,
@@ -147,16 +157,58 @@ def uncached_objective(cand, model):
     return smooth_path_cost(model, xs, ys, yp, h)
 
 
+def heightmap_model():
+    # A heightmap relief wide enough in y for any test candidate, under
+    # x-dependent rates whose y-free parts bind.
+    gx, gy = np.linspace(0.0, 1.0, 17), np.linspace(-3.0, 4.0, 29)
+    z = 0.2 * np.exp(-((gx[None, :] - 0.6) ** 2 + (gy[:, None] - 0.4) ** 2) / 0.045)
+    return CostModel(
+        alpha=field_from_expression("0.1*(1+x^2)*cos(y)^2"),
+        beta=field_from_expression("0.5+0.1*sin(3*x)"),
+        phi=field_from_heightmap(Heightmap(0.0, -3.0, gx[1] - gx[0], gy[1] - gy[0], z)),
+        quadrature_subdivisions=16,
+    )
+
+
+BIT_MODELS = {**{name: lambda make=make: make().model for name, make in SPECS.items()},
+              "heightmap3d": heightmap_model}
+
+
 @pytest.mark.parametrize("mesh_points", [64, 512])
 @pytest.mark.parametrize("basis_size", [1, 5, 10])
-@pytest.mark.parametrize("problem", ["ridge2d", "relief3d"])
+@pytest.mark.parametrize("problem", ["ridge2d", "relief3d", "heightmap3d"])
 def test_cached_objective_is_bit_identical(problem, basis_size, mesh_points):
-    model = SPECS[problem]().model
+    # ... and so is the objective of the model bound to the mesh, as minimize prices.
+    model = BIT_MODELS[problem]()
+    xs, _, _ = _mesh_basis(1.0, 1.0, basis_size, mesh_points, model.quadrature_subdivisions)
+    bound = at_abscissae(model, xs)
     rng = np.random.default_rng(basis_size * 1000 + mesh_points)
     for _ in range(3):
         coeffs = rng.normal(scale=0.3, size=basis_size)
         cand = RitzCandidate(coeffs, span=1.0, end_ordinate=1.0, mesh_points=mesh_points)
         assert objective(cand, model) == uncached_objective(cand, model)
+        assert objective(cand, bound) == objective(cand, model)
+
+
+def test_minimize_prices_with_fields_bound_to_the_mesh(monkeypatch):
+    models = []
+    monkeypatch.setattr(terracost.ritz, "objective", lambda cand, model: models.append(model) or 1.0)
+    model = make_relief3d_spec().model
+    minimize(model, 1.0, 1.0, basis_size=2, mesh_points=64, budget=3)
+    assert len(models) == 3 and all(m is models[0] for m in models)
+    assert isinstance(models[0].phi.expression.root.lhs, Sampled)  # sin(5*x)
+    assert models[0].phi.expression.render() == model.phi.expression.render()
+
+
+def test_bound_model_binds_expression_fields_only():
+    model = heightmap_model()
+    xs, _ = smooth_mesh(64, 1.0, 16)
+    bound = at_abscissae(model, xs)
+    assert bound.phi is model.phi
+    assert isinstance(bound.beta.expression.root, Sampled)
+    assert bound.alpha.expression.render() == model.alpha.expression.render()
+    flat = at_abscissae(SPECS["ridge2d"]().model, xs)
+    assert flat.phi is None and flat.mode is CostMode.FLAT_2D
 
 
 def test_basis_cache_keys_on_trial_space():
