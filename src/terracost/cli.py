@@ -28,7 +28,7 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -120,19 +120,30 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _object(raw, where: str) -> dict:
+def _object(raw, where: str, keys) -> dict:
+    # A config section: a JSON object whose keys are all among ``keys``.
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {sorted(unknown)}")
     return raw
 
 
-def _number(value, where: str, kind=float):
+def _keys(section) -> list[str]:
+    return [f.name for f in dataclass_fields(section)]
+
+
+def _number(value, where: str, kind=float, least=None):
     # JSON admits strings, booleans, NaN and Infinity, which no option can
-    # take, and an integer option takes only integral values.
+    # take, and an integer option takes only integral values, at least
+    # ``least`` when that is given.
     try:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             number = kind(value)
             if np.isfinite(number) and (kind is float or number == value):
+                if least is not None and number < least:
+                    raise ConfigError(f"{where} must be >= {least}, got {number}")
                 return number
     except (TypeError, ValueError, OverflowError):
         pass
@@ -141,19 +152,14 @@ def _number(value, where: str, kind=float):
 
 
 def _field_config(raw, name: str) -> FieldConfig:
-    _object(raw, f"field '{name}'")
-    expression = raw.get("expression")
-    heightmap = raw.get("heightmap")
-    if (expression is None) == (heightmap is None):
+    fc = FieldConfig(**_object(raw, f"field '{name}'", _keys(FieldConfig)))
+    if (fc.expression is None) == (fc.heightmap is None):
         raise ConfigError(
             f"field '{name}' needs exactly one of 'expression' or 'heightmap'"
         )
-    unknown = set(raw) - {"expression", "heightmap"}
-    if unknown:
-        raise ConfigError(f"field '{name}' has unknown keys {sorted(unknown)}")
-    if not isinstance(heightmap if expression is None else expression, str):
+    if not isinstance(fc.heightmap if fc.expression is None else fc.expression, str):
         raise ConfigError(f"field '{name}' needs a string expression or heightmap path")
-    return FieldConfig(expression=expression, heightmap=heightmap)
+    return fc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -175,13 +181,14 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    _object(raw, f"{path}: top level")
+    _object(raw, f"{path}: top level", ["problem", "fields", "solver", "output", "verify"])
 
-    problem_raw = _object(_require(raw, "problem", "config"), "problem")
+    problem_raw = _object(_require(raw, "problem", "config"), "problem", _keys(ProblemConfig))
     l = _number(_require(problem_raw, "l", "problem"), "problem.l")
     y_l = _number(_require(problem_raw, "y_l", "problem"), "problem.y_l")
 
-    fields_raw = _object(_require(raw, "fields", "config"), "fields")
+    fields_raw = _require(raw, "fields", "config")
+    _object(fields_raw, "fields", ["alpha", "beta", "phi", "mask"])
     fields = {}
     for name in ("alpha", "beta"):
         fields[name] = _field_config(_require(fields_raw, name, "fields"), name)
@@ -211,21 +218,14 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     problem = ProblemConfig(l=l, y_l=y_l, corridor=corridor, mode=mode)
 
-    solver = SolverConfig()
-    for key, value in _object(raw.get("solver", {}), "solver").items():
-        if not hasattr(solver, key):
-            raise ConfigError(f"unknown solver option '{key}'")
-        setattr(solver, key, value)
+    solver = SolverConfig(**_object(raw.get("solver", {}), "solver", _keys(SolverConfig)))
     if solver.method not in _METHODS:
         raise ConfigError(f"solver.method must be one of {_METHODS}, got {solver.method!r}")
     for name, (kind, least) in _NUMERIC_OPTIONS.items():
         value = getattr(solver, name)
         if value is None and getattr(SolverConfig, name) is None:
             continue  # an option without a default may stay unset
-        value = _number(value, f"solver.{name}", kind)
-        if least is not None and value < least:
-            raise ConfigError(f"solver.{name} must be >= {least}, got {value}")
-        setattr(solver, name, value)
+        setattr(solver, name, _number(value, f"solver.{name}", kind, least))
     caveats = []
     if solver.method in ("dp", "local") and solver.tau is not None:
         try:
@@ -234,15 +234,19 @@ def load_config(path: str | Path) -> RunConfig:
         except (ConfigError, ValueError) as exc:  # name the key the user typed
             raise ConfigError(re.sub(r"^tau(_0)? ", "solver.tau ", str(exc))) from exc
 
-    output = OutputConfig()
-    for key, value in _object(raw.get("output", {}), "output").items():
-        if not hasattr(output, key):
-            raise ConfigError(f"unknown output option '{key}'")
-        setattr(output, key, str(value))
+    output = OutputConfig(**_object(raw.get("output", {}), "output", _keys(OutputConfig)))
+    files = {}
+    for key, name in vars(output).items():
+        if not (isinstance(name, str) and name):
+            raise ConfigError(f"output.{key} must be a non-empty file name, got {name!r}")
+        if Path(name) in files:
+            raise ConfigError(f"output.{files[Path(name)]} and output.{key} name the same file")
+        files[Path(name)] = key
 
-    gap_threshold = _object(raw.get("verify", {}), "verify").get("gap_threshold")
+    verify = _object(raw.get("verify", {}), "verify", ["gap_threshold"])
+    gap_threshold = verify.get("gap_threshold")
     if gap_threshold is not None:
-        gap_threshold = _number(gap_threshold, "verify.gap_threshold")
+        gap_threshold = _number(gap_threshold, "verify.gap_threshold", least=0)
 
     return RunConfig(
         problem=problem,

@@ -71,15 +71,16 @@ where a stage transition's samples come from.  There are three sources:
   tableau.  These are the direct points and the kernel's steps act on each
   arc alone, so the tableau is the direct one, bit for bit.
 
-A negative rate is refused at the samples some piece reads, whichever the
-source, by one check, :func:`_check_rates`, and named at the piece's own
-sample point: (x_start + j*tau/q, y_from + (y_to - y_from)*j/q) for sample
-j of an arc.  A lattice whose alpha and beta samples are all non-negative
-cannot hand an arc a negative rate, so its arcs skip the check; a block of
-a lattice holding a negative sample is stacked into one batch, which is
-checked and integrated like any other.  A run holding a negative rate
-sample is not integrated: its transitions sample their own arcs, so the
-error comes in stage order.
+A lattice and a run are shared: several arcs read each of their samples,
+and some of their points may be read by no arc at all.  One helper,
+:func:`_shared_samples`, samples both, and a shared source is used only
+when every field accepts all of its points and none of its alpha or beta
+samples is negative.  Otherwise its arcs sample their own points, so a
+shared source never changes a price or an error.  A negative rate is
+refused by one check, :func:`_check_rates`, at the samples some piece
+reads, and named at the piece's own sample point: (x_start + j*tau/q,
+y_from + (y_to - y_from)*j/q) for sample j of an arc.  Errors come in
+stage order.
 
 Quadrature is a composite trapezoid rule with ``q`` subintervals per
 piece; the inner prefix integral uses trapezoid prefix sums over the same
@@ -157,23 +158,13 @@ class SegmentTableau(NamedTuple):
     delta_len: np.ndarray
 
 
-# Running sums of rows at least this wide are taken by in-place row adds,
-# narrower ones by one accumulate (cumsum), which costs less per call but
-# runs a strided loop per column.  Only the within-piece prefix still needs
-# running sums; ritz's (16, 511) prefix stays on accumulate: row adds timed
-# faster on that shape alone, but a ritz-relief3d solve ran slower with them
-# in 5 of 5 pairs (numpy 2.4, x86-64).
-_WIDE_ROW = 512
-
-
 def _running_sum(rows: np.ndarray) -> np.ndarray:
     # Running sums along axis 0, in place and strictly in index order, so a
     # piece's sums have the same bits whatever the trailing shape of its
     # batch (ndarray.sum(axis=0) goes pairwise when that shape is (1,)).
-    if rows[0].size < _WIDE_ROW:
-        return np.add.accumulate(rows, axis=0, out=rows)
+    # rows[j, ...] is a view even when a row is a single element.
     for j in range(1, len(rows)):
-        np.add(rows[j - 1], rows[j], out=rows[j])
+        np.add(rows[j - 1], rows[j], out=rows[j, ...])
     return rows
 
 
@@ -233,17 +224,29 @@ def _sample(model: CostModel, xs, ys) -> _Samples:
     return _Samples(*rates, *partials)
 
 
-def _check_rates(samples: _Samples, shape, points) -> None:
-    # Refuse a negative rate at any sample of a batch of the given shape,
-    # alpha before beta, named at its first negative sample in index order.
-    # points() gives the batch's sample (xs, ys), broadcasting to it; both
-    # are broadcast only to name that sample.
+def _shared_samples(model: CostModel, xs, ys) -> _Samples | None:
+    # The fields at points that several arcs read, or None when a field
+    # refuses a point or an alpha or beta sample is negative: those arcs then
+    # sample their own points, so a shared source never changes a price or
+    # an error.
+    try:
+        samples = _sample(model, xs, ys)
+    except (ExprDomainError, FieldDomainError):
+        return None
+    return None if any((rate < 0).any() for rate in samples[:2]) else samples
+
+
+def _check_rates(samples: _Samples, xs, ys) -> None:
+    # Refuse a negative rate at any sample of a batch taken at the points
+    # (xs, ys), alpha before beta, named at its first negative sample in
+    # index order; the points are broadcast only to name that sample.
     for name in ("alpha", "beta"):
         values = getattr(samples, name)
         if (values < 0).any():
+            shape = np.broadcast(xs, ys).shape
             values = np.broadcast_to(values, shape)
             k = np.unravel_index(np.argmax(values < 0), shape)
-            x, y = (np.broadcast_to(p, shape)[k] for p in points())
+            x, y = (np.broadcast_to(p, shape)[k] for p in (xs, ys))
             raise NegativeRateError(
                 f"rate field '{name}' is negative ({float(values[k])!r}) "
                 f"at (x, y) = ({float(x)!r}, {float(y)!r})"
@@ -369,13 +372,11 @@ class _Lattice(NamedTuple):
     # The fields sampled once on the fine lattice of one stage transition,
     # stacked as (fields, q + 1, m): alpha, beta (and phi_x, phi_y in full
     # 3-D), sample axis next, entry (j, r) at
-    # (x_start + j*tau/q, y_lo + delta*(k_lo*q + r)/q).  ``negative`` tells
-    # whether some alpha or beta sample there is negative.
+    # (x_start + j*tau/q, y_lo + delta*(k_lo*q + r)/q).
     y_lo: float
     delta: float
     k_lo: int
     fields: np.ndarray
-    negative: bool
 
     def rows(self, y_from, y_to):
         # The samples of the arcs from the column y_from to the row y_to of
@@ -406,30 +407,21 @@ class _Lattice(NamedTuple):
             yield view
 
 
-def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, samples=None):
+def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, lattice=None):
     # Price the straight arcs (x_start, y_from) -> (x_start + tau, y_to),
-    # whose arguments broadcast as in _linear_points, from field samples:
-    # taken at the arcs' own points when None, or read row by row from a
-    # _Lattice.  A lattice holding no negative rate is integrated from its
-    # rows unchecked; a block of one that does is stacked into a batch and
-    # checked and integrated as one.
+    # whose arguments broadcast as in _linear_points: from a _Lattice's rows,
+    # read one after another, or else from field samples taken and checked
+    # at the arcs' own points.
     q = model.quadrature_subdivisions
-
-    def points():
-        return _linear_points(q, x_start, tau, y_from, y_to)
-
-    shape = (q + 1,) + np.broadcast(y_from, y_to).shape
     yp = (y_to - y_from) / tau
-    if isinstance(samples, _Lattice):
-        rows = list(samples.rows(y_from, y_to))
-        if not samples.negative:
-            flat = model.mode is CostMode.FLAT_2D
-            return (_integrate_straight if flat else _integrate_rows)(rows, yp, tau / q)
-        samples = _Samples(*np.stack(rows, axis=1))
-    else:
-        samples = _sample(model, *points())
-    _check_rates(samples, shape, points)
-    return _integrate(samples, yp, tau / q, shape)
+    if lattice is not None:
+        rows = list(lattice.rows(y_from, y_to))
+        flat = model.mode is CostMode.FLAT_2D
+        return (_integrate_straight if flat else _integrate_rows)(rows, yp, tau / q)
+    xs, ys = _linear_points(q, x_start, tau, y_from, y_to)
+    samples = _sample(model, xs, ys)
+    _check_rates(samples, xs, ys)
+    return _integrate(samples, yp, tau / q, ys.shape)
 
 
 def _arc_axes(y_from, y_to):
@@ -440,7 +432,8 @@ def _arc_axes(y_from, y_to):
 
 def _sample_lattice(model: CostModel, y_lo, delta, x_start, tau, y_from, y_to):
     # The _Lattice of one transition, or None when an ordinate is not a
-    # lattice ordinate y_lo + delta*k exactly, for k = rint((y - y_lo)/delta).
+    # lattice ordinate y_lo + delta*k exactly, for k = rint((y - y_lo)/delta),
+    # or when _shared_samples refuses the lattice's samples.
     y = np.append(y_from, y_to).astype(float)
     k = np.rint((y - y_lo) / delta)
     if not np.array_equal(y_lo + delta * k, y):
@@ -449,20 +442,18 @@ def _sample_lattice(model: CostModel, y_lo, delta, x_start, tau, y_from, y_to):
     k_lo, k_hi = int(k.min()), int(k.max())
     xs = x_start + tau * (np.arange(q + 1) / q)
     ys = y_lo + delta * (np.arange(k_lo * q, k_hi * q + 1) / q)
-    shape = (q + 1, ys.size)
-    fields = _sample(model, xs[:, None], ys)
-    fields = np.stack([np.broadcast_to(v, shape) for v in fields if v is not None])
-    negative = bool((fields[:2] < 0).any())
-    return _Lattice(y_lo, delta, k_lo, fields, negative)
+    fields = _shared_samples(model, xs[:, None], ys)
+    if fields is None:
+        return None
+    fields = np.stack([np.broadcast_to(v, (q + 1, ys.size)) for v in fields if v is not None])
+    return _Lattice(y_lo, delta, k_lo, fields)
 
 
 def _run_entries(model: CostModel, run) -> list:
     # One entry per transition of a run: a run of two or more samples its
     # fields at all its arcs' own points in one call, integrates them as one
     # (q + 1, arcs) batch and shares out each transition's tableau.  A lone
-    # transition, or a run where a field refuses a point or a rate sample is
-    # negative, gets None: each transition then samples its own arcs, so
-    # errors come in stage order.
+    # transition, or a run whose samples _shared_samples refuses, gets None.
     if len(run) < 2:
         return [None] * len(run)
     q = model.quadrature_subdivisions
@@ -473,11 +464,8 @@ def _run_entries(model: CostModel, run) -> list:
     y_from = np.concatenate([np.repeat(y_f, len(y_t)) for _, _, y_f, y_t in run])
     y_to = np.concatenate([np.repeat([y_t], len(y_f), 0).ravel() for _, _, y_f, y_t in run])
     xs, ys = _linear_points(q, x_start, tau, y_from, y_to)
-    try:
-        fields = _sample(model, xs, ys)
-    except (ExprDomainError, FieldDomainError):
-        return [None] * len(run)
-    if any((rate < 0).any() for rate in fields[:2]):
+    fields = _shared_samples(model, xs, ys)
+    if fields is None:
         return [None] * len(run)
     tableau = _integrate(fields, (y_to - y_from) / tau, tau / q, ys.shape)
     out, stop = [], 0
@@ -502,8 +490,8 @@ def sample_transitions(model: CostModel, transitions, y_lo: float, delta: float,
       is sampled at all its arcs and integrated in one call, and each of
       its transitions gets its share of the tableau;
     * None, to sample the arcs directly: a lone transition, an off-lattice
-      one, and every transition of a run where a field refuses a point or
-      a rate sample is negative.
+      one, and a lattice's or a run's transitions when a field refuses one
+      of its points or one of its alpha or beta samples is negative.
 
     Nothing is sampled before the transitions ahead of it are consumed.
     """
@@ -613,7 +601,7 @@ def smooth_path_cost(model: CostModel, xs, ys, yp, h) -> float:
     composite trapezoid scheme and the prefix length is carried across cells.
     """
     samples = _sample(model, xs, ys)
-    _check_rates(samples, ys.shape, lambda: (xs, ys))
+    _check_rates(samples, xs, ys)
     tab = _integrate(samples, yp, h, ys.shape)
     len_start = np.concatenate([[0.0], np.cumsum(tab.delta_len)[:-1]])
     total = float(np.sum(tab.fixed_cost + len_start * tab.prefix_slope))

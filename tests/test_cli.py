@@ -543,8 +543,74 @@ RITZ = {"method": "ritz", "K": 2, "budget": 10}
         pytest.param(
             ["solve"],
             {"output": {"svg": "plot.svg"}},
-            "unknown output option 'svg'",
+            "output has unknown keys ['svg']",
             id="unknown-output-key",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solvr": {"method": "dp", "tau": 0.25}},
+            "top level has unknown keys ['solvr']",
+            id="unknown-top-level-key",
+        ),
+        pytest.param(
+            ["solve"],
+            {"problem": {"l": 1.0, "y_l": 1.0, "corridr": [0.0, 2.0]}},
+            "problem has unknown keys ['corridr']",
+            id="unknown-problem-key",
+        ),
+        pytest.param(
+            ["solve"],
+            {
+                "fields": {
+                    "alpha": {"expression": "0"},
+                    "beta": {"expression": "1"},
+                    "maks": {"expression": "y-1.5"},
+                }
+            },
+            "fields has unknown keys ['maks']",
+            id="unknown-fields-key",
+        ),
+        pytest.param(
+            ["solve"],
+            {"solver": {"method": "dp", "tau": 0.25, "gama": 0.5}},
+            "solver has unknown keys ['gama']",
+            id="unknown-solver-key",
+        ),
+        pytest.param(
+            ["verify"],
+            {"solver": {"method": "dp", "tau": 0.25}, "verify": {"gap_treshold": 0.1}},
+            "verify has unknown keys ['gap_treshold']",
+            id="unknown-verify-key",
+        ),
+        pytest.param(
+            ["solve"],
+            {"output": {"report_json": None}},
+            "output.report_json must be a non-empty file name, got None",
+            id="output-name-null",
+        ),
+        pytest.param(
+            ["solve"],
+            {"output": {"trajectory_csv": 5}},
+            "output.trajectory_csv must be a non-empty file name, got 5",
+            id="output-name-a-number",
+        ),
+        pytest.param(
+            ["solve"],
+            {"output": {"plot_data": ""}},
+            "output.plot_data must be a non-empty file name, got ''",
+            id="output-name-empty",
+        ),
+        pytest.param(
+            ["solve"],
+            {"output": {"report_json": "run.txt", "plot_data": "./run.txt"}},
+            "output.report_json and output.plot_data name the same file",
+            id="output-names-equal",
+        ),
+        pytest.param(
+            ["verify"],
+            {"solver": {"method": "dp", "tau": 0.25}, "verify": {"gap_threshold": -1}},
+            "verify.gap_threshold must be >= 0, got -1.0",
+            id="verify-gap-threshold-negative",
         ),
         pytest.param(
             ["solve"],
@@ -591,6 +657,30 @@ def test_non_finite_cost_is_solver_error_naming_stage(tmp_path, capsys):
     assert err.startswith("solver error:")
     assert "stage 1" in err
     assert not out.exists()
+
+
+def test_field_refusing_lattice_points_no_arc_reads_is_solved(tmp_path, monkeypatch):
+    # beta is undefined only within 0.004 of (0.5, 0.515625), a point of
+    # the fine stage lattice (ordinates k/512) that no arc samples: stage
+    # ordinates are k/32, and the samples next to x = 0.5 lie 1/128 away.
+    # The transitions around it price their arcs from their own points, so
+    # J is that of a sweep pricing every transition directly.
+    beta = "1+sqrt((x-0.5)^2+(y-0.515625)^2-1.6e-05)"
+    config = write_config(
+        tmp_path,
+        fields={"alpha": {"expression": "0.1"}, "beta": {"expression": beta}},
+        solver={"method": "dp", "tau": 0.125, "gamma": 1.0, "epsilon": 2 / 3},
+    )
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "shared")]) == 0
+    monkeypatch.setattr(
+        dp, "sample_transitions", lambda model, transitions, *args: [None] * len(transitions)
+    )
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "direct")]) == 0
+    shared, direct = (
+        json.loads((tmp_path / out / "report.json").read_text())["J"]
+        for out in ("shared", "direct")
+    )
+    assert shared == direct == pytest.approx(2.014931, abs=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from terracost import (
 )
 from terracost import cost
 from terracost.cost import sample_transitions
+from terracost.expr import ExprDomainError
 from terracost.ritz import RitzCandidate, candidate_eval
 
 from conftest import (
@@ -227,91 +228,132 @@ def transition_samples(model, x_start, tau, y_lo, delta, y_from, y_to):
     [("-1", "1", "alpha"), ("0", "x-0.5", "beta"), ("0.1", "1-2*y", "beta")],
 )
 def test_negative_rate_is_refused(alpha, beta, name):
-    # Every pricing path (direct, gathered from the stage lattice, polyline)
-    # refuses a rate that is negative at any sample and names the field and
-    # a sample point where it is negative.  Two 17-node stages have more
-    # arcs (289) than fine lattice rows (257), so they gather.
+    # Direct arcs, a polyline's segments and a smooth candidate's mesh each
+    # refuse a rate that is negative at any of their samples, and name the
+    # field and the first such sample in index order, at its own (x, y).
     model = flat_model(alpha=alpha, beta=beta)
     rate = model.alpha if name == "alpha" else model.beta
     stage = np.arange(17) / 16
-    samples = transition_samples(model, 0.0, 0.25, 0.0, 1 / 16, stage, stage)
-    assert isinstance(samples, cost._Lattice)
-    calls = (
-        lambda: segment_cost_batch(model, 0.0, 0.25, stage, stage),
-        lambda: segment_cost_batch(model, 0.0, 0.25, stage, stage, samples=samples),
-        lambda: path_cost(model, [0.0, 0.5, 1.0], [0.0, 0.75, 1.0]),
+    knots_x, knots_y = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.75, 1.0])
+    mesh, h = smooth_mesh(64, 1.0, 16)
+    cases = (
+        (
+            lambda: segment_cost_batch(model, 0.0, 0.25, stage, stage),
+            cost._linear_points(16, 0.0, 0.25, *cost._arc_axes(stage, stage)),
+        ),
+        (
+            lambda: path_cost(model, knots_x, knots_y),
+            cost._linear_points(16, knots_x[:-1], 0.5, knots_y[:-1], knots_y[1:]),
+        ),
+        (lambda: smooth_path_cost(model, mesh, mesh * mesh, 2.0 * mesh, h), (mesh, mesh * mesh)),
     )
-    for call in calls:
+    for call, points in cases:
         with pytest.raises(NegativeRateError, match=f"rate field '{name}'") as err:
             call()
-        point = re.search(r"at \(x, y\) = \((.+), (.+)\)$", str(err.value))
-        assert rate.value(float(point[1]), float(point[2])) < 0
+        xs, ys = np.broadcast_arrays(*points)
+        negative = np.broadcast_to(rate.value(xs, ys), xs.shape) < 0
+        k = np.unravel_index(np.argmax(negative), xs.shape)
+        assert str(err.value).endswith(f"at (x, y) = ({float(xs[k])!r}, {float(ys[k])!r})")
 
 
-def negative_rate_messages(model, x0, tau, y_lo, delta, y_from, blocks):
-    """The errors of gathered and of direct pricing, for each block of to-nodes."""
-    samples = transition_samples(model, x0, tau, y_lo, delta, y_from, blocks[0])
-    assert isinstance(samples, cost._Lattice)
-    messages = []
-    for block in blocks:
-        for given in (samples, None):
-            with pytest.raises(NegativeRateError) as err:
-                segment_cost_batch(model, x0, tau, y_from, block, samples=given)
-            messages.append(str(err.value))
-    return messages
+def refused_source(name):
+    """(y_lo, delta, transitions) of a shared sample source.
+
+    ``dyadic``, ``off-dyadic`` and ``corner`` are one transition between
+    two stages that gather from their lattice, on dyadic steps, on steps
+    whose lattice ordinates round differently from the arcs' own, and with
+    a lattice corner (0, 79/64) that no arc from the lower 40 ordinates to
+    the upper 40 samples (y - x stays below 40/64 on every arc).  ``run``
+    is a descent's window transitions, sampled as one run.
+    """
+    delta = 1 / 64
+    if name == "dyadic":
+        return 0.0, delta, [(0.25, 0.5, delta * np.arange(1, 57), delta * np.arange(2, 58))]
+    if name == "off-dyadic":
+        stage = -0.37 + np.arange(40) / 30
+        return -0.37, 1 / 30, [(0.4, 0.1, stage, stage)]
+    if name == "corner":
+        return 0.0, delta, [(0.0, 1.0, delta * np.arange(40), delta * np.arange(40, 80))]
+    return 0.0, delta, window_transitions()
+
+
+def pricing_outcome(model, transition, samples):
+    """A transition's tableau, or the type and message of its error."""
+    try:
+        return segment_cost_batch(model, *transition, samples=samples)
+    except (NegativeRateError, ExprDomainError) as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize(
-    "alpha, beta, phi",
+    "alpha, beta, phi, source, error",
     [
-        ("(x-0.5)^2+(y-0.5)^2-0.001", "1", None),
-        ("0", "(x-0.5)^2+(y-0.4375)^2-0.001", None),
-        ("(x-0.5)^2+(y-0.5)^2-0.001", "1", "sin(5*x)*sin(y)"),
+        ("(x-0.5)^2+(y-0.5)^2-0.001", "1", None, "dyadic", NegativeRateError),
+        ("0", "(x-0.5)^2+(y-0.4375)^2-0.001", None, "dyadic", NegativeRateError),
+        ("(x-0.5)^2+(y-0.5)^2-0.001", "1", "sin(5*x)*sin(y)", "dyadic", NegativeRateError),
+        ("1-2*exp(-400*((x-0.5)^2+(y-0.5)^2))", "1", None, "off-dyadic", NegativeRateError),
+        ("0", "1+sqrt(x-0.5)", None, "dyadic", ExprDomainError),
+        ("x+0.9-y", "1", None, "corner", None),
+        ("0", "1+sqrt(x+0.9-y)", None, "corner", None),
+        ("0.1", "1", "sqrt(x+0.9-y)", "corner", None),
+        ("0.92-x", "1", None, "run", NegativeRateError),
+        ("0", "0.5+sqrt(0.95-x)", None, "run", ExprDomainError),
     ],
-    ids=["alpha", "beta", "full3d"],
+    ids=[
+        "alpha",
+        "beta",
+        "full3d",
+        "alpha-off-dyadic",
+        "sqrt-read",
+        "alpha-unread",
+        "sqrt-unread",
+        "phi-unread",
+        "run-alpha",
+        "run-sqrt",
+    ],
 )
-def test_gathered_negative_rate_names_the_direct_sample(alpha, beta, phi):
-    # Gathered from the stage lattice or priced directly, a negative rate is
-    # reported at the same sample: same field, same value, same (x, y).  The
-    # steps are dyadic, so lattice and arc sample points are the same floats;
-    # the lowest ordinate k = 1 and the block slices shift the gather index.
+def test_a_refused_shared_source_prices_its_arcs_directly(alpha, beta, phi, source, error):
+    # A stage lattice or a run holding a negative rate sample or a point a
+    # field refuses is not shared: its transitions get None and price their
+    # arcs from their own points, which gives direct pricing's tableau where
+    # no arc reads the refused samples and direct pricing's error, in stage
+    # order, where one does.
     if phi is None:
         model = flat_model(alpha=alpha, beta=beta)
     else:
         model = full3d_model(phi, alpha=alpha, beta=beta)
-    delta = 1 / 64
-    y_from, y_to = delta * np.arange(1, 57), delta * np.arange(2, 58)
-    messages = negative_rate_messages(model, 0.25, 0.5, 0.0, delta, y_from, (y_to, y_to[3:40]))
-    assert messages[0] == messages[1]
-    assert messages[2] == messages[3]
-
-
-def test_gathered_negative_rate_names_the_arc_point_off_dyadic_steps():
-    # Off dyadic steps the lattice ordinates round differently from the
-    # arcs' own sample ordinates, but the error names the arc's own point
-    # whichever way its samples were taken.
-    model = flat_model(alpha="1-2*exp(-400*((x-0.5)^2+(y-0.5)^2))")
-    y_lo, delta = -0.37, 1 / 30
-    stage = y_lo + delta * np.arange(40)
-    messages = negative_rate_messages(model, 0.4, 0.1, y_lo, delta, stage, (stage,))
-    points = [re.search(r"at \(x, y\) = .*$", message)[0] for message in messages]
-    assert points[0] == points[1]
+    y_lo, delta, transitions = refused_source(source)
+    entries = list(sample_transitions(model, transitions, y_lo, delta, budget=8192))
+    assert entries == [None] * len(transitions)
+    outcomes = []
+    for transition, entry in zip(transitions, entries):
+        outcome = pricing_outcome(model, transition, entry)
+        direct = pricing_outcome(model, transition, None)
+        if isinstance(outcome, cost.SegmentTableau):
+            for got, want in zip(outcome, direct):
+                assert np.array_equal(got, want) and np.all(np.isfinite(got))
+        else:
+            assert outcome == direct
+        outcomes.append(outcome)
+    errors = [outcome for outcome in outcomes if not isinstance(outcome, cost.SegmentTableau)]
+    assert [kind for kind, _ in errors[:1]] == ([error] if error else [])
+    if error is NegativeRateError:
+        name, x, y = re.search(r"'(\w+)' .* = \((.+), (.+)\)$", errors[0][1]).groups()
+        assert getattr(model, name).value(float(x), float(y)) < 0
 
 
 # ---------------------------------------------------------------------------
 # summation order
 
 
-def test_running_sum_branches_give_the_same_bits(monkeypatch):
-    # The wide branch (row adds) and the narrow one (accumulate) both add in
-    # index order, so a column summed alone has the bits it has in a batch.
-    rows = np.random.default_rng(7).normal(size=(17, 2 * cost._WIDE_ROW))
-    wide = cost._running_sum(rows.copy())
-    monkeypatch.setattr(cost, "_WIDE_ROW", rows.size + 1)
-    assert np.array_equal(cost._running_sum(rows.copy()), wide)
-    for m in (0, 5, rows.shape[1] - 1):
-        assert np.array_equal(cost._running_sum(rows[:, m : m + 1].copy()), wide[:, m : m + 1])
-        assert np.array_equal(cost._running_sum(rows[:, m].copy()), wide[:, m])
+def test_running_sum_branches_give_the_same_bits():
+    # Row adds in index order give np.add.accumulate's bits on narrow rows,
+    # on ritz's (16, 511) prefix and on wide rows alike.
+    rng = np.random.default_rng(7)
+    for shape in ((17,), (17, 1), (17, 5), (16, 511), (17, 1024), (17, 3, 4)):
+        rows = rng.normal(size=shape)
+        summed = cost._running_sum(rows.copy())
+        assert summed.tobytes() == np.add.accumulate(rows, axis=0).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -342,7 +384,7 @@ def test_trapz_sums_interior_rows_in_index_order(monkeypatch, shape):
 )
 def test_an_arc_prices_the_same_bits_in_any_batch(make_spec):
     # A one-segment polyline, the one-arc batch and the same arc inside a
-    # batch wide enough for the row-add branch give equal entries.
+    # 1,200-arc batch give equal entries.
     model = make_spec().model
     tau, y0, y1 = 0.0625, 0.3, 0.41
     total, cum_len, _ = path_cost_profile(model, [0.0, tau], [y0, y1])
@@ -351,7 +393,6 @@ def test_an_arc_prices_the_same_bits_in_any_batch(make_spec):
     assert cum_len[-1] == single.delta_len[0, 0]
     y_from, y_to = np.linspace(0.0, 1.0, 40), np.linspace(0.0, 1.0, 30)
     y_from[17], y_to[11] = y0, y1
-    assert y_from.size * y_to.size >= cost._WIDE_ROW
     wide = segment_cost_batch(model, 0.0, tau, y_from, y_to)
     for got, want in zip(wide, single):
         assert got[17, 11] == want[0, 0]
@@ -387,19 +428,6 @@ def test_gathered_tableau_equals_direct_pricing(make_spec):
         assert_tableaux_close(
             segment_cost_batch(model, x0, tau, y_from, y_to, samples=samples), direct, 1e-13
         )
-
-
-def test_rates_are_checked_where_arcs_sample_them():
-    # alpha = x + 0.9 - y is negative at the lattice's top corner (0, 79/64),
-    # which no arc from the lower 40 ordinates to the upper 40 ever samples
-    # (y - x stays below 40/64 on every arc): only the arcs' points count.
-    model = flat_model(alpha="x+0.9-y")
-    delta = 1 / 64
-    y_from, y_to = delta * np.arange(40), delta * np.arange(40, 80)
-    samples = transition_samples(model, 0.0, 1.0, 0.0, delta, y_from, y_to)
-    assert samples.negative and samples.fields[0].min() < 0
-    gathered = segment_cost_batch(model, 0.0, 1.0, y_from, y_to, samples=samples)
-    assert_tableaux_close(gathered, segment_cost_batch(model, 0.0, 1.0, y_from, y_to), 1e-13)
 
 
 def reference_gather(lattice, y_from, y_to):
