@@ -239,6 +239,8 @@ def load_config(path: str | Path) -> RunConfig:
     for key, name in vars(output).items():
         if not (isinstance(name, str) and name):
             raise ConfigError(f"output.{key} must be a non-empty file name, got {name!r}")
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            raise ConfigError(f"output.{key} must name a file under --out, got {name!r}")
         if Path(name) in files:
             raise ConfigError(f"output.{files[Path(name)]} and output.{key} name the same file")
         files[Path(name)] = key

@@ -6,12 +6,10 @@ Candidates take the form
 
 so both boundary conditions hold for every coefficient vector and the
 search is over the K coefficients alone.  The objective is the smooth-path
-cost on a fixed quadrature mesh, minimized by derivative-free Nelder-Mead
-descent; differentiating through the nested delivery integral is not worth
-the trouble for a cross-check solver.  The descent is the classic
-non-adaptive Nelder-Mead (reflection 1, expansion 2, contraction and shrink
-1/2) in the form scipy implements it, step for step and bit for bit, so
-the solver needs numpy alone.
+cost on a fixed quadrature mesh, minimized by BFGS with forward-difference
+gradients (K objective calls each) and Armijo backtracking, in numpy
+alone; differentiating through the nested delivery integral is not worth
+the trouble for a cross-check solver.
 
 Only the coefficients change between objective calls, so the trial-space
 basis (sin and cos of every mesh sample times every frequency, and the
@@ -144,12 +142,12 @@ def minimize(
     mesh_points: int = 512,
     budget: int = 50000,
 ) -> RitzResult:
-    """Nelder-Mead descent from the plain chord (all coefficients zero).
+    """BFGS descent from the plain chord (all coefficients zero).
 
-    The initial simplex steps each coefficient by 0.1; the search stops at
-    1e-8 simplex spread or after ``budget`` objective evaluations, whichever
+    The search stops at a stationary point (see :func:`_bfgs`) or after
+    ``budget`` objective evaluations, gradient probes included, whichever
     comes first.  Exhausting the budget is reported via ``converged``, not
-    raised.  The simplex always retains its best vertex, so the result never
+    raised.  No accepted step raises the cost, so the result never
     exceeds the zero-coefficient cost.  Every evaluation prices on the
     same mesh, so the fields are bound to its abscissae once, up front.
     """
@@ -167,8 +165,7 @@ def minimize(
         cand = RitzCandidate(a, span, end_ordinate, mesh_points)
         return objective(cand, bound)
 
-    simplex = np.vstack([x0, x0 + 0.1 * np.eye(basis_size)])
-    x, cost, evaluations, converged = _nelder_mead(fun, simplex, budget, xatol=1e-8, fatol=1e-8)
+    x, cost, evaluations, converged = _bfgs(fun, x0, budget)
     return RitzResult(
         candidate=RitzCandidate(x, span, end_ordinate, mesh_points),
         cost=cost,
@@ -177,79 +174,65 @@ def minimize(
     )
 
 
+# Forward-difference step relative to max(1, |a_k|): the square root of the
+# rounding unit balances truncation against cancellation.
+_DIFF_STEP = float(np.sqrt(np.finfo(float).eps))
+_GRADIENT_TOL = 1e-6  # stop once every gradient component is this small,
+_DECREASE_TOL = 1e-13  # or once a step lowers the cost by this relative amount at most,
+_MIN_STEP = 1e-10  # or once backtracking cuts the full step below this fraction
+_ARMIJO = 1e-4  # sufficient decrease, as a fraction of the decrease the slope predicts
+
+
 class _BudgetSpent(Exception):
-    """Raised by the evaluation that would exceed the Nelder-Mead budget."""
+    """Raised by the evaluation that would exceed the budget."""
 
 
-def _nelder_mead(fun, simplex: np.ndarray, budget: int, xatol: float, fatol: float):
-    """Minimize ``fun`` from ``simplex`` ((n + 1, n) vertices) by Nelder-Mead.
+def _bfgs(fun, x: np.ndarray, budget: int):
+    """Minimize ``fun`` from ``x`` by BFGS with forward-difference gradients.
 
-    This is scipy's non-adaptive variant (reflection 1, expansion 2,
-    contraction 1/2, shrink 1/2) with the same arithmetic, ordering and
-    stopping rules, so it walks the same path as
-    ``scipy.optimize.minimize(method="Nelder-Mead")``: the search stops once
-    every vertex lies within ``xatol`` of the best in every coordinate and
-    within ``fatol`` of it in value, or at the call that would exceed
-    ``budget``, which ends the step in flight.  Returns (x, f, evaluations,
-    converged).
+    The inverse-Hessian approximation is a dense matrix from the identity,
+    updated only when the curvature s.y is positive, so it stays positive
+    definite and every direction descends; the step backtracks by halves
+    from the full one until the Armijo condition holds (Nocedal & Wright,
+    *Numerical Optimization*, 2nd ed., ch. 6).  The search stops at the
+    first of the tolerances above, or at the call that would exceed
+    ``budget``, which ends the step in flight; every call counts, gradient
+    probes included.  Returns (x, f, evaluations, converged).
     """
-    sim = np.array(simplex, dtype=float)
-    n = sim.shape[1]
-    fsim = np.full(n + 1, np.inf)
     evaluations = 0
 
-    def f(x):
+    def f(a):
         nonlocal evaluations
         if evaluations >= budget:
             raise _BudgetSpent
         evaluations += 1
-        return fun(x)
+        return fun(a)
 
+    def gradient(a, fa):
+        probes = a + np.diag(_DIFF_STEP * np.maximum(1.0, np.abs(a)))
+        return np.array([f(probe) - fa for probe in probes]) / (probes.diagonal() - a)
+
+    fx = f(x)
     try:
-        for j in range(n + 1):
-            fsim[j] = f(sim[j])
+        g = gradient(x, fx)
+        h = np.eye(x.size)
+        while np.max(np.abs(g)) > _GRADIENT_TOL:
+            p = -(h @ g)
+            slope = g @ p
+            t = 1.0
+            while (f_new := f(x + t * p)) > fx + _ARMIJO * t * slope:
+                t *= 0.5
+                if t < _MIN_STEP:
+                    return x, fx, evaluations, True
+            s = t * p
+            if fx - f_new <= _DECREASE_TOL * abs(f_new):
+                return x + s, f_new, evaluations, True
+            x, fx, g_old = x + s, f_new, g
+            g = gradient(x, fx)
+            y = g - g_old
+            if (sy := s @ y) > 0:
+                v = np.eye(x.size) - np.outer(s, y) / sy
+                h = v @ h @ v.T + np.outer(s, s) / sy
     except _BudgetSpent:
-        pass
-    sim, fsim = _by_value(sim, fsim)
-    while evaluations < budget:
-        if (
-            np.max(np.abs(sim[1:] - sim[0])) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-        ):
-            break
-        try:
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc <= fxr
-                else:  # inside contraction
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    accept = fxc < fsim[-1]
-                if accept:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-        except _BudgetSpent:
-            pass
-        sim, fsim = _by_value(sim, fsim)
-    # Only the stopping test ends the loop with budget to spare.
-    return sim[0], float(fsim[0]), evaluations, evaluations < budget
-
-
-def _by_value(sim: np.ndarray, fsim: np.ndarray):
-    """The simplex vertices and their values, best first."""
-    order = np.argsort(fsim)
-    return np.take(sim, order, 0), np.take(fsim, order, 0)
+        return x, fx, evaluations, False
+    return x, fx, evaluations, True
