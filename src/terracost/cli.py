@@ -453,25 +453,28 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec):
 
 
 def _write_outputs(config: RunConfig, spec: dp.ProblemSpec, traj, profile, report, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # An output name may hold directories; they are made under out_dir.
+    output = config.output
+    csv_path, report_path, plot_path = (
+        out_dir / name for name in (output.trajectory_csv, output.report_json, output.plot_data)
+    )
+    for path in (csv_path, report_path, plot_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
     cum_len, cum_cost = profile
     # Relief heights at the knots; zero without a relief.
     zs = np.zeros(traj.xs.size)
     if spec.model.phi is not None:
         zs = np.asarray(spec.model.phi.value(traj.xs, traj.ys), dtype=float)
 
-    csv_path = out_dir / config.output.trajectory_csv
     rows = ["x,y,z,cumulative_length,cumulative_cost"]
     for knot in zip(traj.xs, traj.ys, zs, cum_len, cum_cost):
         rows.append(",".join(repr(float(v)) for v in knot))
     csv_path.write_text("\n".join(rows) + "\n")
 
-    report_path = out_dir / config.output.report_json
     report = dict(report)
     report["warnings"] = [*config.warnings, *report.get("warnings", ())]
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    plot_path = out_dir / config.output.plot_data
     lines = [" ".join(repr(float(v)) for v in knot) for knot in zip(traj.xs, traj.ys, zs)]
     plot_path.write_text("\n".join(lines) + "\n")
     return csv_path, report_path, plot_path

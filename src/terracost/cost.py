@@ -69,7 +69,11 @@ where a stage transition's samples come from.  There are three sources:
   kernel call, as a (q + 1, arcs) batch with each arc's own slope and
   spacing; each transition's call then hands back its share of the
   tableau.  These are the direct points and the kernel's steps act on each
-  arc alone, so the tableau is the direct one, bit for bit.
+  arc alone, so the tableau is the direct one, bit for bit.  A windowed
+  descent keeps the run tableaux of its grid's arcs from one sweep to the
+  next (:class:`~terracost.localsearch.DescentCache`), so each run samples
+  and integrates only the arcs no earlier sweep priced; for the same
+  reason a kept entry has the bits pricing its arc again would give.
 
 A lattice and a run are shared: several arcs read each of their samples,
 and some of their points may be read by no arc at all.  One helper,
@@ -449,38 +453,76 @@ def _sample_lattice(model: CostModel, y_lo, delta, x_start, tau, y_from, y_to):
     return _Lattice(y_lo, delta, k_lo, fields)
 
 
-def _run_entries(model: CostModel, run) -> list:
-    # One entry per transition of a run: a run of two or more samples its
-    # fields at all its arcs' own points in one call, integrates them as one
-    # (q + 1, arcs) batch and shares out each transition's tableau.  A lone
-    # transition, or a run whose samples _shared_samples refuses, gets None.
-    if len(run) < 2:
-        return [None] * len(run)
+def _run_arcs(run):
+    # Every arc of a run of transitions on one axis, each transition's in
+    # (from, to) order, as (owner, x_start, tau, y_from, y_to) arrays, where
+    # owner is the arc's transition within the run.
+    x_start, tau, y_from, y_to = zip(*run)
+    rows = np.array([len(y) for y in y_from])
+    cols = np.array([len(y) for y in y_to])
+    arcs = rows * cols
+    owner = np.repeat(np.arange(len(run)), arcs)
+    first = np.cumsum(arcs) - arcs
+    k, s = np.divmod(np.arange(arcs.sum()) - first[owner], cols[owner])
+    k += (np.cumsum(rows) - rows)[owner]
+    s += (np.cumsum(cols) - cols)[owner]
+    points = (np.array(x_start)[owner], np.array(tau)[owner])
+    return owner, *points, np.concatenate(y_from)[k], np.concatenate(y_to)[s]
+
+
+def _shared_tableau(model: CostModel, x_start, tau, y_from, y_to):
+    # The tableau of straight arcs given one per entry, stacked as rows
+    # (fixed_cost, prefix_slope, delta_len): their fields sampled at all their
+    # own points in one call and integrated in one kernel call, or None when
+    # _shared_samples refuses those samples.
     q = model.quadrature_subdivisions
-    shapes = [(len(y_from), len(y_to)) for _, _, y_from, y_to in run]
-    arcs = [f * t for f, t in shapes]
-    # Every arc of the run on one axis, each transition's in (from, to) order.
-    x_start, tau = (np.repeat([transition[i] for transition in run], arcs) for i in (0, 1))
-    y_from = np.concatenate([np.repeat(y_f, len(y_t)) for _, _, y_f, y_t in run])
-    y_to = np.concatenate([np.repeat([y_t], len(y_f), 0).ravel() for _, _, y_f, y_t in run])
     xs, ys = _linear_points(q, x_start, tau, y_from, y_to)
     fields = _shared_samples(model, xs, ys)
     if fields is None:
+        return None
+    return np.stack(_integrate(fields, (y_to - y_from) / tau, tau / q, ys.shape))
+
+
+def _run_entries(model: CostModel, run, first: int, tableaux) -> list:
+    # One entry per transition of a run, whose first transition leaves stage
+    # ``first``: the run's arcs are priced in one call, or looked up in
+    # ``tableaux``, which prices only those it lacks, and each transition
+    # gets its share of the tableau as views.  A lone transition without a
+    # cache, or a run whose samples _shared_samples refuses, gets None.
+    if not run or (len(run) < 2 and tableaux is None):
         return [None] * len(run)
-    tableau = _integrate(fields, (y_to - y_from) / tau, tau / q, ys.shape)
+    owner, *arcs = _run_arcs(run)
+    if tableaux is None:
+        values = _shared_tableau(model, *arcs)
+    else:
+
+        def price(pick):
+            return _shared_tableau(model, *(arc[pick] for arc in arcs))
+
+        values = tableaux.tableau(first + owner, *arcs[2:], price)
+    if values is None:
+        return [None] * len(run)
     out, stop = [], 0
-    for shape, size in zip(shapes, arcs):
-        start, stop = stop, stop + size
-        out.append(SegmentTableau(*(v[start:stop].reshape(shape) for v in tableau)))
+    for _, _, y_from, y_to in run:
+        start, stop = stop, stop + len(y_from) * len(y_to)
+        out.append(SegmentTableau(*values[:, start:stop].reshape(3, len(y_from), len(y_to))))
     return out
 
 
-def sample_transitions(model: CostModel, transitions, y_lo: float, delta: float, budget: int):
+def sample_transitions(
+    model: CostModel,
+    transitions,
+    y_lo: float,
+    delta: float,
+    budget: int,
+    tableaux=None,
+):
     """Each stage transition's field samples, lazily and in stage order.
 
     ``transitions`` yields one (x_start, tau, y_from, y_to) per transition,
-    with sorted stage ordinates.  Each gets the ``samples`` entry of its
-    :func:`segment_cost_batch` call, chosen by one rule:
+    with sorted stage ordinates, the first leaving stage 0.  Each gets the
+    ``samples`` entry of its :func:`segment_cost_batch` call, chosen by one
+    rule:
 
     * a stage lattice, when the transition's fine lattice has fewer
       ordinates than the transition has arcs (a full stage to a full stage)
@@ -488,29 +530,37 @@ def sample_transitions(model: CostModel, transitions, y_lo: float, delta: float,
     * otherwise the transition joins a run of consecutive such transitions
       whose arcs together number at most ``budget``.  A run of two or more
       is sampled at all its arcs and integrated in one call, and each of
-      its transitions gets its share of the tableau;
-    * None, to sample the arcs directly: a lone transition, an off-lattice
-      one, and a lattice's or a run's transitions when a field refuses one
-      of its points or one of its alpha or beta samples is negative.
+      its transitions gets its share of the tableau.  With ``tableaux``,
+      the :class:`~terracost.localsearch.DescentCache` of the grid the
+      stages are cut from, every run looks its arcs up there and prices
+      only the new ones;
+    * None, to sample the arcs directly: a transition of more than
+      ``budget`` arcs, a lone one without ``tableaux``, an off-lattice one,
+      and a lattice's or a run's transitions when a field refuses one of
+      its points or one of its alpha or beta samples is negative.
 
     Nothing is sampled before the transitions ahead of it are consumed.
     """
     q = model.quadrature_subdivisions
-    run, run_arcs = [], 0
-    for transition in transitions:
+    run, run_arcs, first = [], 0, 0
+    for i, transition in enumerate(transitions):
         x_start, tau, y_from, y_to = transition
         arcs = len(y_from) * len(y_to)
         span = max(y_from[-1], y_to[-1]) - min(y_from[0], y_to[0])
         gathers = span / delta * q + 1 < arcs
         if run and (gathers or run_arcs + arcs > budget):
-            yield from _run_entries(model, run)
+            yield from _run_entries(model, run, first, tableaux)
             run, run_arcs = [], 0
         if gathers:
             yield _sample_lattice(model, y_lo, delta, *transition)
+        elif arcs > budget:
+            yield None
         else:
+            if not run:
+                first = i
             run.append(transition)
             run_arcs += arcs
-    yield from _run_entries(model, run)
+    yield from _run_entries(model, run, first, tableaux)
 
 
 def segment_cost_batch(

@@ -27,10 +27,16 @@ a path.
 Where each transition's field samples come from (its arcs' own points, a
 stage lattice sampled once, or a run of transitions sampled and
 integrated in one call) is decided by
-:func:`terracost.cost.sample_transitions`.  The sweep prices each
-transition by its own ``segment_cost_batch`` call and checks its labels
-before the next one's, so results and errors are those of sampling
-transition by transition.
+:func:`terracost.cost.sample_transitions`, which a windowed descent hands
+its cache of the grid's arc tableaux through :func:`solve`.  The sweep
+prices each transition by its own ``segment_cost_batch`` call and checks
+its labels before the next one's, so results and errors are those of
+sampling transition by transition.
+Labels are carried as Python floats.  A transition of at most
+``_SCALAR_ARCS`` arcs, such as a descent's 3x3 windows, is relaxed on
+them directly: each candidate is the same sum and product in the same
+double arithmetic, so it keeps its bits, and numpy's cost per call, which
+exceeds the arithmetic of so small a block, is not paid.
 
 Refinement follows the coupling delta_k = gamma * tau_k^(1+eps): halving
 tau while shrinking delta strictly faster is what makes the refined optima
@@ -40,6 +46,7 @@ longer guaranteed.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -66,6 +73,10 @@ __all__ = [
 # Candidate arcs per relaxation block: a transition holds O(_BLOCK_ARCS * q)
 # floats whatever the lattice size.
 _BLOCK_ARCS = 8192
+# Candidate arcs up to which a one-block transition is relaxed on Python
+# floats: a 3x3 window transition takes about 3 us that way and 9 us in
+# numpy (2-vCPU host), and a 5x5 one about the same both ways.
+_SCALAR_ARCS = 32
 
 
 class BlockedCorridorError(ValueError):
@@ -198,60 +209,88 @@ def build_grid(spec: ProblemSpec, tau: float, delta: float) -> StageGrid:
     return StageGrid(tau=tau, delta=delta, n=n, xs=xs, stages=stages)
 
 
-def _relax(model: CostModel, x_start, tau, y_from, d, length, y_to, samples):
+def _relax(d, length, tab):
     """Best predecessor, cost-to-come and prefix length for a block of to-nodes.
 
+    ``tab`` prices the arcs from every labelled node to the block's nodes.
     Ties pick the smallest predecessor index (argmin returns the first minimum).
     """
-    tab = segment_cost_batch(model, x_start, tau, y_from, y_to, samples=samples)
     candidates = d[:, None] + tab.fixed_cost + length[:, None] * tab.prefix_slope
     best = np.argmin(candidates, axis=0)
-    cols = np.arange(y_to.size)
+    cols = np.arange(best.size)
     return best, candidates[best, cols], length[best] + tab.delta_len[best, cols]
 
 
-def _sweep(grid: StageGrid, spec: ProblemSpec):
+def _relax_scalars(d, length, tab):
+    """:func:`_relax` on Python floats, for a small block; labels as lists.
+
+    Each candidate is (d + fixed_cost) + length * prefix_slope, as there,
+    in the same double arithmetic, so it has the same bits, and the choice
+    is argmin's: the first minimum, or the first NaN.
+    """
+    fixed, slope, grow = tab.fixed_cost.tolist(), tab.prefix_slope.tolist(), tab.delta_len.tolist()
+    best, d_to, length_to = [], [], []
+    for s in range(len(fixed[0])):
+        k = None
+        for j in range(len(d)):
+            c = d[j] + fixed[j][s] + length[j] * slope[j][s]
+            if k is None or c < low or (c != c and low == low):
+                k, low = j, c
+        best.append(k)
+        d_to.append(low)
+        length_to.append(length[k] + grow[k][s])
+    return best, d_to, length_to
+
+
+def _sweep(grid: StageGrid, spec: ProblemSpec, tableaux):
     """Forward pass over all stages.
 
     Every transition is relaxed in blocks of at most ``_BLOCK_ARCS``
     candidate arcs (at least one to-node each), one after another; a run of
-    transitions sampled together fits in one block.  Returns the
-    predecessor arrays of stages 1..n, the terminal cost-to-come labels and
-    the evaluation count.
+    transitions sampled together fits in one block.  A transition of at
+    most ``_SCALAR_ARCS`` arcs that fits in one block is relaxed on Python
+    floats.  Labels are carried as lists.  Returns the predecessors of
+    stages 1..n, the terminal cost-to-come labels and the evaluation count.
     """
-    d = np.zeros(1)
-    length = np.zeros(1)
-    preds: list[np.ndarray] = []
+    model = spec.model
+    d, length = [0.0], [0.0]
+    preds = []
     evaluations = 0
-    transitions = [
-        (grid.xs[i], grid.xs[i + 1] - grid.xs[i], grid.stages[i], grid.stages[i + 1])
-        for i in range(grid.n)
-    ]
+    xs = grid.xs.tolist()
+    transitions = list(zip(xs, np.diff(grid.xs).tolist(), grid.stages, grid.stages[1:]))
     entries = sample_transitions(
-        spec.model, transitions, spec.corridor[0], grid.delta, _BLOCK_ARCS
+        model, transitions, spec.corridor[0], grid.delta, _BLOCK_ARCS, tableaux
     )
+    scalar_arcs = min(_SCALAR_ARCS, _BLOCK_ARCS)
     for i, ((x_start, tau, y_from, y_to), samples) in enumerate(zip(transitions, entries)):
-        best = np.empty(y_to.size, dtype=np.intp)
-        d_to, length_to = np.empty(y_to.size), np.empty(y_to.size)
-        width = max(1, _BLOCK_ARCS // y_from.size)
-        for s in range(0, y_to.size, width):
-            block = slice(s, s + width)
-            best[block], d_to[block], length_to[block] = _relax(
-                spec.model, x_start, tau, y_from, d, length, y_to[block], samples
-            )
-        d, length = d_to, length_to
-        evaluations += y_from.size * y_to.size
-        if not np.all(np.isfinite(d)):
-            x = float(grid.xs[i + 1])
+        arcs = y_from.size * y_to.size
+        if arcs <= scalar_arcs:
+            tab = segment_cost_batch(model, x_start, tau, y_from, y_to, samples=samples)
+            best, d, length = _relax_scalars(d, length, tab)
+        else:
+            d, length = np.array(d), np.array(length)
+            best = np.empty(y_to.size, dtype=np.intp)
+            d_to, length_to = np.empty(y_to.size), np.empty(y_to.size)
+            width = max(1, _BLOCK_ARCS // y_from.size)
+            for s in range(0, y_to.size, width):
+                block = slice(s, s + width)
+                tab = segment_cost_batch(model, x_start, tau, y_from, y_to[block], samples=samples)
+                best[block], d_to[block], length_to[block] = _relax(d, length, tab)
+                # Freed before the next block's is priced, which then reuses
+                # its memory; held over, it slowed a full sweep by about 4 %.
+                del tab
+            d, length = d_to.tolist(), length_to.tolist()
+        evaluations += arcs
+        if not all(map(math.isfinite, d)):
             raise ValueError(
-                f"non-finite cost-to-come at stage {i + 1} (x = {x!r}): "
+                f"non-finite cost-to-come at stage {i + 1} (x = {xs[i + 1]!r}): "
                 "fields are singular or overflow there"
             )
         preds.append(best)
     return preds, d, evaluations
 
 
-def solve(grid: StageGrid, spec: ProblemSpec) -> Trajectory:
+def solve(grid: StageGrid, spec: ProblemSpec, tableaux=None) -> Trajectory:
     """Run the forward sweep and backtrack the optimal polyline.
 
     Results are independent of the block split and, for fields evaluated
@@ -259,10 +298,12 @@ def solve(grid: StageGrid, spec: ProblemSpec) -> Trajectory:
     and integration, bit for bit.  The returned trajectory's cost is the terminal label,
     which by construction of the prefix threading equals the polyline's
     path cost (to rounding where arcs gather their samples from a stage
-    lattice).
+    lattice).  ``tableaux``, the :class:`~terracost.localsearch.DescentCache`
+    of the grid that ``grid``'s stages are cut from, gives the runs the
+    tableaux of arcs an earlier sweep priced, which have the same bits.
     """
     t0 = time.perf_counter()
-    preds, terminal_d, evaluations = _sweep(grid, spec)
+    preds, terminal_d, evaluations = _sweep(grid, spec, tableaux)
     idx = [0]
     for best in reversed(preds):
         idx.append(int(best[idx[-1]]))
@@ -270,7 +311,7 @@ def solve(grid: StageGrid, spec: ProblemSpec) -> Trajectory:
     diag = SolveDiagnostics(
         segment_cost_evaluations=evaluations, wall_time=time.perf_counter() - t0
     )
-    return Trajectory(xs=grid.xs, ys=ys, cost=float(terminal_d[0]), diagnostics=diag)
+    return Trajectory(xs=grid.xs, ys=ys, cost=terminal_d[0], diagnostics=diag)
 
 
 def refinement_schedule(

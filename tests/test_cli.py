@@ -147,6 +147,17 @@ def test_solve_writes_outputs_and_matches_benchmark(tmp_path):
     assert len(plot_rows[0].split()) == 3
 
 
+def test_output_names_may_hold_directories(tmp_path):
+    # A name's directories are made under --out, before any file is written.
+    output = {"trajectory_csv": "sub/t.csv", "report_json": "a/b/r.json", "plot_data": "plot.dat"}
+    config = write_config(tmp_path, output=output)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    assert read_csv_knots(out / "sub" / "t.csv").shape == (9, 5)
+    assert json.loads((out / "a" / "b" / "r.json").read_text())["method"] == "dp"
+    assert len((out / "plot.dat").read_text().splitlines()) == 9
+
+
 def test_report_matches_csv_path_cost(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "run"

@@ -27,7 +27,7 @@ from terracost import (
     smooth_mesh,
     smooth_path_cost,
 )
-from terracost import cost
+from terracost import cost, localsearch
 from terracost.cost import sample_transitions
 from terracost.expr import ExprDomainError
 from terracost.ritz import RitzCandidate, candidate_eval
@@ -620,6 +620,24 @@ def window_transitions(n=12, delta=1 / 64):
     return [(xs[i], xs[i + 1] - xs[i], stages[i], stages[i + 1]) for i in range(n)]
 
 
+def count_kernel_calls(monkeypatch) -> list:
+    """Record each call of the cost kernel, _integrate."""
+    integrate, calls = cost._integrate, []
+    monkeypatch.setattr(cost, "_integrate", lambda *args: calls.append(1) or integrate(*args))
+    return calls
+
+
+def assert_direct_bits(model, transitions, entries):
+    """Each entry is its transition's tableau, with direct pricing's bits."""
+    assert all(isinstance(entry, cost.SegmentTableau) for entry in entries)
+    for transition, entry in zip(transitions, entries):
+        priced = segment_cost_batch(model, *transition, samples=entry)
+        direct = segment_cost_batch(model, *transition)
+        for got, want in zip(priced, direct):
+            assert got.shape == want.shape == (len(transition[2]), len(transition[3]))
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "make_spec",
     [make_ridge2d_spec, make_relief3d_spec, make_masked_heightmap_spec],
@@ -633,17 +651,43 @@ def test_run_entries_have_the_bits_of_direct_pricing(monkeypatch, make_spec, bud
     # the 3 + 10 * 9 + 3 arcs into six runs of two transitions each.
     model = make_spec().model
     transitions = window_transitions()
-    integrate, calls = cost._integrate, []
-    monkeypatch.setattr(cost, "_integrate", lambda *args: calls.append(1) or integrate(*args))
+    calls = count_kernel_calls(monkeypatch)
     entries = list(sample_transitions(model, transitions, 0.0, 1 / 64, budget))
     assert len(calls) == kernel_calls
-    assert all(isinstance(entry, cost.SegmentTableau) for entry in entries)
-    for transition, entry in zip(transitions, entries):
-        priced = segment_cost_batch(model, *transition, samples=entry)
-        direct = segment_cost_batch(model, *transition)
-        for got, want in zip(priced, direct):
-            assert got.shape == want.shape == (len(transition[2]), len(transition[3]))
-            assert np.array_equal(got, want)
+    assert_direct_bits(model, transitions, entries)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [make_ridge2d_spec, make_relief3d_spec, make_masked_heightmap_spec],
+    ids=["flat2d", "full3d", "heightmap"],
+)
+def test_a_descent_cache_prices_each_run_arc_once(monkeypatch, make_spec):
+    # With a descent's cache of the stages' arcs, the six runs of a 20-arc
+    # budget are priced in six kernel calls, and a second pass over them in
+    # none; the tableaux handed out keep direct pricing's bits either way.
+    model = make_spec().model
+    transitions = window_transitions()
+    stages = [transition[2] for transition in transitions] + [transitions[-1][3]]
+    tableaux = localsearch.DescentCache(stages, 0.0, 1 / 64)
+    calls = count_kernel_calls(monkeypatch)
+    for kernel_calls in (6, 0):
+        calls.clear()
+        entries = list(sample_transitions(model, transitions, 0.0, 1 / 64, 20, tableaux))
+        assert len(calls) == kernel_calls
+        assert_direct_bits(model, transitions, entries)
+
+
+def test_a_cache_keeps_nothing_where_lattice_indices_repeat():
+    # 0.5 and 0.51 share the lattice index 1 of y_lo + k/2, so keys could
+    # not tell their arcs apart; the cache prices every run afresh instead.
+    model = flat_model()
+    stages = [np.array([0.0]), np.array([0.5, 0.51]), np.array([1.0])]
+    transitions = [(0.0, 0.5, stages[0], stages[1]), (0.5, 0.5, stages[1], stages[2])]
+    tableaux = localsearch.DescentCache(stages, 0.0, 0.5)
+    for _ in range(2):
+        entries = list(sample_transitions(model, transitions, 0.0, 0.5, 8192, tableaux))
+        assert_direct_bits(model, transitions, entries)
 
 
 def test_a_run_with_a_negative_rate_sample_is_not_integrated():

@@ -220,6 +220,27 @@ def make_holed_ridge2d_spec() -> ProblemSpec:
     return dataclasses.replace(make_ridge2d_spec(), mask=mask)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (3, 3), (4, 2)], ids=str)
+def test_scalar_relaxation_has_the_bits_of_the_array_one(shape):
+    # A small block is relaxed on Python floats.  Its labels have the array
+    # relaxation's bits, and its choices are argmin's, among ties, signed
+    # zeros, infinities and NaNs too (a NaN label, which stops the sweep,
+    # may differ in its sign and payload).
+    rng = np.random.default_rng(3)
+    pool = np.array([0.0, -0.0, 0.25, 0.5, 1.0, 1.0 + 2**-52, np.inf, np.nan])
+    for _ in range(400):
+        d, length = rng.choice(pool[:6], size=(2, shape[0]))
+        tab = cost.SegmentTableau(*rng.choice(pool, size=(3, *shape), p=[0.14] * 6 + [0.08] * 2))
+        with np.errstate(invalid="ignore"):
+            want = dp._relax(d, length, tab)
+        got = dp._relax_scalars(d.tolist(), length.tolist(), tab)
+        assert np.array_equal(got[0], want[0])
+        for a, b in zip(got[1:], want[1:]):
+            a = np.array(a)
+            assert np.array_equal(np.isnan(a), np.isnan(b))
+            assert np.array_equal(a[~np.isnan(a)].view(np.int64), b[~np.isnan(b)].view(np.int64))
+
+
 @pytest.mark.parametrize(
     "make_spec",
     [make_ridge2d_spec, make_relief3d_spec, make_holed_ridge2d_spec],
@@ -407,9 +428,9 @@ def record_sweeps(monkeypatch):
         calls.append(args)
         return batch(*args, **kwargs)
 
-    def recorded_solve(grid, spec):
+    def recorded_solve(grid, spec, *args):
         grids.append(grid)
-        return solve_grid(grid, spec)
+        return solve_grid(grid, spec, *args)
 
     monkeypatch.setattr(dp, "segment_cost_batch", recorded_batch)
     monkeypatch.setattr(dp, "solve", recorded_solve)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -19,6 +20,7 @@ from terracost import (
     localsearch,
     path_cost,
 )
+from terracost.expr import ExprDomainError
 from terracost.oracle import enumerate_paths
 
 from conftest import (
@@ -101,6 +103,30 @@ def test_window_sizes_bounded():
     stepped = localsearch.step(inc, m, grid, spec)
     # (2m+1)^2 per interior transition plus singleton ends bounds the work
     assert stepped.evaluations <= (2 * m + 1) ** 2 * grid.n
+
+
+@pytest.mark.parametrize("m", [1, 2, 40])
+def test_windows_hold_the_stage_ordinates_within_reach(m):
+    # The keyed cut gives every stage the ordinates a pass over the whole
+    # stage finds within (m + 0.5)*delta of the knot: for knots on the
+    # lattice, just inside or outside that distance of an ordinate, and
+    # anywhere else, on stages the obstacle leaves ragged.
+    spec = make_masked_heightmap_spec()
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    cache = localsearch.DescentCache(grid.stages, spec.corridor[0], grid.delta)
+    reach = (m + 0.5) * grid.delta
+    rng = np.random.default_rng(5)
+    picks = np.array([stage[rng.integers(stage.size)] for stage in grid.stages])
+    for ys in (
+        picks,
+        picks + reach,
+        np.nextafter(picks + reach, np.inf),
+        picks - reach,
+        rng.uniform(-0.5, 1.5, picks.size),
+    ):
+        want = [stage[np.abs(stage - y) <= reach] for stage, y in zip(grid.stages, ys)]
+        got = cache.windows(ys, m)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_step_requires_positive_window():
@@ -224,6 +250,26 @@ def make_level_relief_spec():
     return dataclasses.replace(spec, model=model)
 
 
+def step_chain(spec, grid, m=1):
+    """The descent :func:`localsearch.run` makes, as a chain of bare steps.
+
+    Each step starts its own cache, so it prices every arc of its windows.
+    Returns the last incumbent and each step's cost and evaluation count.
+    """
+    max_iter = math.ceil(4 * dp.lattice_size(spec.corridor, grid.delta) / m)
+    incumbent = localsearch.initial_incumbent(grid, spec)
+    costs, evaluations = [], []
+    while len(costs) < max_iter:
+        nxt = localsearch.step(incumbent, m, grid, spec)
+        costs.append(nxt.cost)
+        evaluations.append(nxt.evaluations)
+        converged = np.array_equal(nxt.ys, incumbent.ys)
+        incumbent = nxt
+        if converged:
+            break
+    return incumbent, costs, evaluations
+
+
 @pytest.mark.parametrize(
     "make_spec",
     [make_ridge2d_spec, make_masked_heightmap_spec, make_level_relief_spec],
@@ -231,39 +277,51 @@ def make_level_relief_spec():
 )
 @pytest.mark.parametrize("block_arcs", [1, 7, None], ids=["block1", "block7", "default"])
 def test_run_is_bit_identical_for_any_block_size(monkeypatch, make_spec, block_arcs):
-    # With blocks of one arc no window transition joins a run, so each
-    # samples its own arcs per to-node; blocks of 7 arcs split the 3x3
+    # run keeps one cache over its steps, so it prices each window arc once;
+    # the reference chain of bare steps prices every window arc at every
+    # step.  With blocks of one arc no window transition joins a run, so
+    # each samples its own arcs per to-node; blocks of 7 arcs split the 3x3
     # windows but group the fans and the obstacle's ragged windows; the
     # default groups whole window grids.
     spec = make_spec()
     grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
-    reference = localsearch.run(spec, grid, m=1)
+    incumbent, costs, evaluations = step_chain(spec, grid)
     if block_arcs is not None:
         monkeypatch.setattr(dp, "_BLOCK_ARCS", block_arcs)
     traj = localsearch.run(spec, grid, m=1)
-    assert traj.cost == reference.cost
-    assert np.array_equal(traj.ys, reference.ys)
-    assert (
-        traj.diagnostics.segment_cost_evaluations
-        == reference.diagnostics.segment_cost_evaluations
-    )
-    assert traj.diagnostics.iterations == reference.diagnostics.iterations
+    assert traj.cost == incumbent.cost == costs[-1]
+    assert np.array_equal(traj.ys, incumbent.ys)
+    assert traj.diagnostics.iterations == len(costs)
+    assert traj.diagnostics.cost_per_iteration == costs
+    assert traj.diagnostics.evaluations_per_iteration == evaluations
+    assert traj.diagnostics.segment_cost_evaluations == grid.n + sum(evaluations)
 
 
 class CallCountingField:
-    """A field that counts its evaluation calls."""
+    """A field that counts its evaluation calls and the points of those calls."""
 
     def __init__(self, field):
         self.field = field
         self.calls = 0
+        self.points = 0
 
     def value(self, x, y):
         self.calls += 1
+        self.points += np.broadcast(x, y).size
         return self.field.value(x, y)
 
     def value_and_partials(self, x, y):
         self.calls += 1
+        self.points += np.broadcast(x, y).size
         return self.field.value_and_partials(x, y)
+
+
+def counted_fields(spec):
+    """The spec with its rate and relief fields counting, and those fields."""
+    fields = {
+        name: CallCountingField(getattr(spec.model, name)) for name in ("alpha", "beta", "phi")
+    }
+    return dataclasses.replace(spec, model=dataclasses.replace(spec.model, **fields)), fields
 
 
 def test_window_grid_samples_its_fields_once():
@@ -278,6 +336,76 @@ def test_window_grid_samples_its_fields_once():
     spec = dataclasses.replace(spec, model=dataclasses.replace(spec.model, **fields))
     localsearch.step(incumbent, 1, grid, spec)
     assert [field.calls for field in fields.values()] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "make_spec", [make_relief3d_spec, make_masked_heightmap_spec], ids=["relief3d", "heightmap"]
+)
+def test_run_samples_each_window_arc_once(monkeypatch, make_spec):
+    # Over a whole descent each field is sampled at the q + 1 points of
+    # every distinct window arc once, and at those of the chord's segments.
+    spec, fields = counted_fields(make_spec())
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    windows, solve = [], dp.solve
+    monkeypatch.setattr(dp, "solve", lambda grid, *args: windows.append(grid) or solve(grid, *args))
+    traj = localsearch.run(spec, grid, m=1)
+    arcs = {
+        (i, a, b)
+        for window in windows
+        for i in range(grid.n)
+        for a in window.stages[i].tolist()
+        for b in window.stages[i + 1].tolist()
+    }
+    q = spec.model.quadrature_subdivisions
+    assert len(windows) == traj.diagnostics.iterations > 2
+    assert len(arcs) < traj.diagnostics.segment_cost_evaluations - grid.n
+    assert [field.points for field in fields.values()] == [(len(arcs) + grid.n) * (q + 1)] * 3
+
+
+def test_a_warm_cache_prices_no_arc_again():
+    spec, fields = counted_fields(make_relief3d_spec())
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    incumbent = localsearch.initial_incumbent(grid, spec)
+    cache = localsearch.DescentCache(grid.stages, spec.corridor[0], grid.delta)
+    first = localsearch.step(incumbent, 1, grid, spec, cache)
+    calls = [field.calls for field in fields.values()]
+    assert calls == [2, 2, 2]  # the chord, then the window grid
+    again = localsearch.step(incumbent, 1, grid, spec, cache)
+    assert [field.calls for field in fields.values()] == calls
+    assert np.array_equal(again.ys, first.ys) and again.cost == first.cost
+    assert again.evaluations == first.evaluations
+
+
+# alpha is negative, and beta's sqrt raises, only within about 0.01 of
+# (0.5, 0.13), which the descent's windows first reach at its 23rd step.
+LATE_NEGATIVE_ALPHA_NEAR_PATH = "0.1-0.2*exp(-4000*((x-0.5)^2+(y-0.13)^2))"
+LATE_RAISING_BETA_NEAR_PATH = "0.5+sqrt((x-0.5)^2+(y-0.13)^2-0.0001)"
+
+
+@pytest.mark.parametrize(
+    "name, text, error",
+    [
+        ("alpha", LATE_NEGATIVE_ALPHA_NEAR_PATH, NegativeRateError),
+        ("beta", LATE_RAISING_BETA_NEAR_PATH, ExprDomainError),
+    ],
+    ids=["negative-alpha", "raising-beta"],
+)
+def test_errors_at_arcs_a_later_step_reaches_are_those_of_bare_steps(name, text, error):
+    # Arcs the cache already holds are not sampled again, so the first step
+    # to reach the refused points samples only its new arcs, and its run
+    # falls back to pricing each transition directly, in stage order.
+    reference = make_relief3d_spec()
+    model = dataclasses.replace(reference.model, **{name: field_from_expression(text)})
+    spec = dataclasses.replace(reference, model=model)
+    grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
+    incumbent = localsearch.initial_incumbent(grid, spec)
+    with pytest.raises(error) as bare:
+        for steps in range(1, 100):
+            incumbent = localsearch.step(incumbent, 1, grid, spec)
+    assert steps > 20
+    with pytest.raises(error) as cached:
+        localsearch.run(spec, grid, m=1)
+    assert str(cached.value) == str(bare.value)
 
 
 def step_error(monkeypatch, fields, block_arcs=None):
