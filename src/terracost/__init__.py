@@ -13,6 +13,7 @@ from .cost import (
     CostMode,
     CostModel,
     NegativeRateError,
+    NonFiniteCostError,
     SegmentTableau,
     path_cost,
     path_cost_profile,
@@ -59,6 +60,7 @@ __all__ = [
     "Heightmap",
     "HeightmapField",
     "NegativeRateError",
+    "NonFiniteCostError",
     "ProblemSpec",
     "ScalarField2D",
     "SegmentTableau",

@@ -22,7 +22,7 @@ delta_j = fixed_cost + prefix_slope * len_start plus the piece's own arc
 length, and leaves the ``len_start`` threading to its callers:
 
 * :func:`segment_cost_batch` - every from/to pair of one stage transition;
-* :func:`sample_transitions` - every arc of a run of stage transitions;
+* :func:`sample_transitions` - the new arcs of a descent's window sweep;
 * :func:`path_cost_profile`  - all segments of one polyline at once;
 * :func:`smooth_path_cost`   - the mesh cells of a smooth candidate curve,
   sampled on a :func:`smooth_mesh`.
@@ -64,27 +64,25 @@ where a stage transition's samples come from.  There are three sources:
   terminal ordinate is priced directly.  The lattice's ordinates round
   differently from the arcs' own, so gathered values agree with direct
   ones to rounding only;
-* a run of consecutive other transitions whose arcs fit in one budget,
-  sampled at all its arcs' own points in one call and integrated in one
-  kernel call, as a (q + 1, arcs) batch with each arc's own slope and
-  spacing; each transition's call then hands back its share of the
-  tableau.  These are the direct points and the kernel's steps act on each
-  arc alone, so the tableau is the direct one, bit for bit.  A windowed
-  descent keeps the run tableaux of its grid's arcs from one sweep to the
-  next (:class:`~terracost.localsearch.DescentCache`), so each run samples
-  and integrates only the arcs no earlier sweep priced; for the same
-  reason a kept entry has the bits pricing its arc again would give.
+* a windowed descent's cache of its grid's arc tableaux
+  (:class:`~terracost.localsearch.DescentCache`).  A sweep looks up every
+  arc of its other transitions there at once, and only the arcs no earlier
+  sweep priced are sampled at their own points and integrated, a budget of
+  them per kernel call, as a (q + 1, arcs) batch with each arc's own slope
+  and spacing; each transition then gets its share of the tableau.  These
+  are the direct points and the kernel's steps act on each arc alone, so a
+  kept entry has the bits pricing its arc again would give.
 
-A lattice and a run are shared: several arcs read each of their samples,
-and some of their points may be read by no arc at all.  One helper,
-:func:`_shared_samples`, samples both, and a shared source is used only
-when every field accepts all of its points and none of its alpha or beta
-samples is negative.  Otherwise its arcs sample their own points, so a
-shared source never changes a price or an error.  A negative rate is
-refused by one check, :func:`_check_rates`, at the samples some piece
-reads, and named at the piece's own sample point: (x_start + j*tau/q,
-y_from + (y_to - y_from)*j/q) for sample j of an arc.  Errors come in
-stage order.
+A lattice and a cached pricing are shared: several arcs read each lattice
+sample, some lattice points may be read by no arc at all, and a pricing
+serves many transitions.  One helper, :func:`_shared_samples`, samples
+both, and a shared source is used only when every field accepts all of its
+points and none of its alpha or beta samples is negative.  Otherwise its
+arcs sample their own points, so a shared source never changes a price or
+an error.  A negative rate is refused by one check, :func:`_check_rates`,
+at the samples some piece reads, and named at the piece's own sample
+point: (x_start + j*tau/q, y_from + (y_to - y_from)*j/q) for sample j of
+an arc.  Errors come in stage order.
 
 Quadrature is a composite trapezoid rule with ``q`` subintervals per
 piece; the inner prefix integral uses trapezoid prefix sums over the same
@@ -106,6 +104,8 @@ __all__ = [
     "CostMode",
     "CostModel",
     "NegativeRateError",
+    "NonFiniteCostError",
+    "REFUSALS",
     "SegmentTableau",
     "at_abscissae",
     "path_cost",
@@ -146,6 +146,23 @@ class CostModel:
 
 class NegativeRateError(ValueError):
     """A rate field is negative at a sample: a longer road could be cheaper."""
+
+
+class NonFiniteCostError(ValueError):
+    """A path's cost is not finite: its fields are singular along it."""
+
+
+# The errors by which pricing refuses a path, the fault of its fields and not
+# of the program: a negative rate, a point outside a field's domain, a cost
+# that is not finite.
+REFUSALS = (NegativeRateError, ExprDomainError, FieldDomainError, NonFiniteCostError)
+
+
+def _finite(total: float) -> float:
+    # A path's total cost, refused when it is not finite.
+    if not np.isfinite(total):
+        raise NonFiniteCostError("non-finite path cost: fields are singular along the path")
+    return total
 
 
 class SegmentTableau(NamedTuple):
@@ -453,15 +470,15 @@ def _sample_lattice(model: CostModel, y_lo, delta, x_start, tau, y_from, y_to):
     return _Lattice(y_lo, delta, k_lo, fields)
 
 
-def _run_arcs(run):
-    # Every arc of a run of transitions on one axis, each transition's in
-    # (from, to) order, as (owner, x_start, tau, y_from, y_to) arrays, where
-    # owner is the arc's transition within the run.
-    x_start, tau, y_from, y_to = zip(*run)
+def _arcs(transitions):
+    # Every arc of the transitions, each transition's in (from, to) order, as
+    # (owner, x_start, tau, y_from, y_to) arrays, where owner is the arc's
+    # transition in the list.
+    x_start, tau, y_from, y_to = zip(*transitions)
     rows = np.array([len(y) for y in y_from])
     cols = np.array([len(y) for y in y_to])
     arcs = rows * cols
-    owner = np.repeat(np.arange(len(run)), arcs)
+    owner = np.repeat(np.arange(len(transitions)), arcs)
     first = np.cumsum(arcs) - arcs
     k, s = np.divmod(np.arange(arcs.sum()) - first[owner], cols[owner])
     k += (np.cumsum(rows) - rows)[owner]
@@ -470,42 +487,34 @@ def _run_arcs(run):
     return owner, *points, np.concatenate(y_from)[k], np.concatenate(y_to)[s]
 
 
-def _shared_tableau(model: CostModel, x_start, tau, y_from, y_to):
-    # The tableau of straight arcs given one per entry, stacked as rows
-    # (fixed_cost, prefix_slope, delta_len): their fields sampled at all their
-    # own points in one call and integrated in one kernel call, or None when
-    # _shared_samples refuses those samples.
+def _cached_entries(model: CostModel, transitions, stages, budget: int, tableaux) -> dict:
+    # The tableaux of the transitions leaving ``stages``, by stage, as views
+    # into one lookup of all their arcs in ``tableaux``, which prices those it
+    # lacks from their own points, at most ``budget`` arcs per kernel call.
+    # Empty when _shared_samples refuses the samples of an arc to price.
+    picked = [transitions[i] for i in stages]
+    owner, *arcs = _arcs(picked)
     q = model.quadrature_subdivisions
-    xs, ys = _linear_points(q, x_start, tau, y_from, y_to)
-    fields = _shared_samples(model, xs, ys)
-    if fields is None:
-        return None
-    return np.stack(_integrate(fields, (y_to - y_from) / tau, tau / q, ys.shape))
 
+    def price(pick):
+        new = [arc[pick] for arc in arcs]
+        values = []
+        for start in range(0, new[0].size, budget):
+            x_start, tau, y_from, y_to = (arc[start : start + budget] for arc in new)
+            xs, ys = _linear_points(q, x_start, tau, y_from, y_to)
+            fields = _shared_samples(model, xs, ys)
+            if fields is None:
+                return None
+            values.append(np.stack(_integrate(fields, (y_to - y_from) / tau, tau / q, ys.shape)))
+        return np.concatenate(values, axis=1)
 
-def _run_entries(model: CostModel, run, first: int, tableaux) -> list:
-    # One entry per transition of a run, whose first transition leaves stage
-    # ``first``: the run's arcs are priced in one call, or looked up in
-    # ``tableaux``, which prices only those it lacks, and each transition
-    # gets its share of the tableau as views.  A lone transition without a
-    # cache, or a run whose samples _shared_samples refuses, gets None.
-    if not run or (len(run) < 2 and tableaux is None):
-        return [None] * len(run)
-    owner, *arcs = _run_arcs(run)
-    if tableaux is None:
-        values = _shared_tableau(model, *arcs)
-    else:
-
-        def price(pick):
-            return _shared_tableau(model, *(arc[pick] for arc in arcs))
-
-        values = tableaux.tableau(first + owner, *arcs[2:], price)
+    values = tableaux.tableau(np.array(stages)[owner], *arcs[2:], price)
     if values is None:
-        return [None] * len(run)
-    out, stop = [], 0
-    for _, _, y_from, y_to in run:
+        return {}
+    out, stop = {}, 0
+    for i, (_, _, y_from, y_to) in zip(stages, picked):
         start, stop = stop, stop + len(y_from) * len(y_to)
-        out.append(SegmentTableau(*values[:, start:stop].reshape(3, len(y_from), len(y_to))))
+        out[i] = SegmentTableau(*values[:, start:stop].reshape(3, len(y_from), len(y_to)))
     return out
 
 
@@ -517,50 +526,38 @@ def sample_transitions(
     budget: int,
     tableaux=None,
 ):
-    """Each stage transition's field samples, lazily and in stage order.
+    """Each stage transition's field samples, in stage order.
 
-    ``transitions`` yields one (x_start, tau, y_from, y_to) per transition,
+    ``transitions`` lists one (x_start, tau, y_from, y_to) per transition,
     with sorted stage ordinates, the first leaving stage 0.  Each gets the
     ``samples`` entry of its :func:`segment_cost_batch` call, chosen by one
     rule:
 
     * a stage lattice, when the transition's fine lattice has fewer
       ordinates than the transition has arcs (a full stage to a full stage)
-      and all its ordinates are lattice ordinates y_lo + k*delta;
-    * otherwise the transition joins a run of consecutive such transitions
-      whose arcs together number at most ``budget``.  A run of two or more
-      is sampled at all its arcs and integrated in one call, and each of
-      its transitions gets its share of the tableau.  With ``tableaux``,
-      the :class:`~terracost.localsearch.DescentCache` of the grid the
-      stages are cut from, every run looks its arcs up there and prices
-      only the new ones;
-    * None, to sample the arcs directly: a transition of more than
-      ``budget`` arcs, a lone one without ``tableaux``, an off-lattice one,
-      and a lattice's or a run's transitions when a field refuses one of
-      its points or one of its alpha or beta samples is negative.
-
-    Nothing is sampled before the transitions ahead of it are consumed.
+      and all its ordinates are lattice ordinates y_lo + k*delta.  It is
+      sampled only once the transitions ahead of it are consumed;
+    * otherwise, with ``tableaux``, the
+      :class:`~terracost.localsearch.DescentCache` of the grid the stages
+      are cut from, the transition's tableau, when it has at most
+      ``budget`` arcs.  All such transitions are looked up there at once,
+      before the first entry, and only the arcs no earlier sweep priced are
+      sampled and integrated, at most ``budget`` per kernel call;
+    * None, to sample the arcs' own points: every other transition, and a
+      lattice's or the cache's transitions when a field refuses one of
+      their points or one of their alpha or beta samples is negative.
     """
     q = model.quadrature_subdivisions
-    run, run_arcs, first = [], 0, 0
-    for i, transition in enumerate(transitions):
-        x_start, tau, y_from, y_to = transition
+    gathers, stages = [], []
+    for i, (_, _, y_from, y_to) in enumerate(transitions):
         arcs = len(y_from) * len(y_to)
         span = max(y_from[-1], y_to[-1]) - min(y_from[0], y_to[0])
-        gathers = span / delta * q + 1 < arcs
-        if run and (gathers or run_arcs + arcs > budget):
-            yield from _run_entries(model, run, first, tableaux)
-            run, run_arcs = [], 0
-        if gathers:
-            yield _sample_lattice(model, y_lo, delta, *transition)
-        elif arcs > budget:
-            yield None
-        else:
-            if not run:
-                first = i
-            run.append(transition)
-            run_arcs += arcs
-    yield from _run_entries(model, run, first, tableaux)
+        gathers.append(span / delta * q + 1 < arcs)
+        if tableaux is not None and not gathers[-1] and arcs <= budget:
+            stages.append(i)
+    cached = _cached_entries(model, transitions, stages, budget, tableaux) if stages else {}
+    for i, (transition, gather) in enumerate(zip(transitions, gathers)):
+        yield _sample_lattice(model, y_lo, delta, *transition) if gather else cached.get(i)
 
 
 def segment_cost_batch(
@@ -578,9 +575,10 @@ def segment_cost_batch(
     linear segment from (x_start, y_from[k]) to (x_start + tau, y_to[s]).
     Without ``samples`` the fields are evaluated at the pairs' samples;
     with this transition's :func:`sample_transitions` entry they are taken
-    from there, or, for a run's transition, the entry is the whole
-    transition's tableau, already integrated.  The integration is the same
-    either way, and a negative rate is refused at any sample an arc reads.
+    from there, or, for a transition a descent's cache holds, the entry is
+    the whole transition's tableau, already integrated.  The integration is
+    the same either way, and a negative rate is refused at any sample an arc
+    reads.
     """
     if tau <= 0:
         raise ValueError(f"segment width must be positive, got {tau}")
@@ -615,10 +613,7 @@ def path_cost_profile(model: CostModel, xs, ys):
     # even entries are the running totals in the sweep's association order.
     terms = np.stack([tab.fixed_cost, cum_len[:-1] * tab.prefix_slope], axis=-1)
     cum_cost = np.cumsum(np.concatenate([[0.0], terms.ravel()]))[::2]
-    total = float(cum_cost[-1])
-    if not np.isfinite(total):
-        raise ValueError("non-finite path cost: fields are singular along the path")
-    return total, cum_len, cum_cost
+    return _finite(float(cum_cost[-1])), cum_len, cum_cost
 
 
 def path_cost(model: CostModel, xs, ys) -> float:
@@ -654,7 +649,4 @@ def smooth_path_cost(model: CostModel, xs, ys, yp, h) -> float:
     _check_rates(samples, xs, ys)
     tab = _integrate(samples, yp, h, ys.shape)
     len_start = np.concatenate([[0.0], np.cumsum(tab.delta_len)[:-1]])
-    total = float(np.sum(tab.fixed_cost + len_start * tab.prefix_slope))
-    if not np.isfinite(total):
-        raise ValueError("non-finite path cost: fields are singular along the path")
-    return total
+    return _finite(float(np.sum(tab.fixed_cost + len_start * tab.prefix_slope)))

@@ -24,14 +24,13 @@ on the calling thread.  A label that is not finite (singular or overflowing
 fields) stops the sweep with an error naming its stage, so it can never pick
 a path.
 
-Where each transition's field samples come from (its arcs' own points, a
-stage lattice sampled once, or a run of transitions sampled and
-integrated in one call) is decided by
-:func:`terracost.cost.sample_transitions`, which a windowed descent hands
-its cache of the grid's arc tableaux through :func:`solve`.  The sweep
-prices each transition by its own ``segment_cost_batch`` call and checks
-its labels before the next one's, so results and errors are those of
-sampling transition by transition.
+Where each transition's field samples come from (a stage lattice sampled
+once, a windowed descent's cache of the grid's arc tableaux, which it
+hands through :func:`solve`, or the arcs' own points) is decided by
+:func:`terracost.cost.sample_transitions`.  The sweep prices each
+transition by its own ``segment_cost_batch`` call and checks its labels
+before the next one's, so results and errors are those of sampling
+transition by transition.
 Labels are carried as Python floats.  A transition of at most
 ``_SCALAR_ARCS`` arcs, such as a descent's 3x3 windows, is relaxed on
 them directly: each candidate is the same sum and product in the same
@@ -246,10 +245,10 @@ def _sweep(grid: StageGrid, spec: ProblemSpec, tableaux):
     """Forward pass over all stages.
 
     Every transition is relaxed in blocks of at most ``_BLOCK_ARCS``
-    candidate arcs (at least one to-node each), one after another; a run of
-    transitions sampled together fits in one block.  A transition of at
-    most ``_SCALAR_ARCS`` arcs that fits in one block is relaxed on Python
-    floats.  Labels are carried as lists.  Returns the predecessors of
+    candidate arcs (at least one to-node each), one after another; a
+    transition whose tableau a descent's cache holds fits in one block.  A
+    transition of at most ``_SCALAR_ARCS`` arcs that fits in one block is
+    relaxed on Python floats.  Labels are carried as lists.  Returns the predecessors of
     stages 1..n, the terminal cost-to-come labels and the evaluation count.
     """
     model = spec.model
@@ -293,14 +292,13 @@ def _sweep(grid: StageGrid, spec: ProblemSpec, tableaux):
 def solve(grid: StageGrid, spec: ProblemSpec, tableaux=None) -> Trajectory:
     """Run the forward sweep and backtrack the optimal polyline.
 
-    Results are independent of the block split and, for fields evaluated
-    pointwise, of how transitions are grouped into runs for field sampling
-    and integration, bit for bit.  The returned trajectory's cost is the terminal label,
-    which by construction of the prefix threading equals the polyline's
-    path cost (to rounding where arcs gather their samples from a stage
-    lattice).  ``tableaux``, the :class:`~terracost.localsearch.DescentCache`
-    of the grid that ``grid``'s stages are cut from, gives the runs the
-    tableaux of arcs an earlier sweep priced, which have the same bits.
+    Results are independent of the block split, bit for bit.  The returned
+    trajectory's cost is the terminal label, which by construction of the
+    prefix threading equals the polyline's path cost (to rounding where
+    arcs gather their samples from a stage lattice).  ``tableaux``, the
+    :class:`~terracost.localsearch.DescentCache` of the grid that
+    ``grid``'s stages are cut from, gives the sweep the tableaux of arcs an
+    earlier sweep priced, which have the same bits.
     """
     t0 = time.perf_counter()
     preds, terminal_d, evaluations = _sweep(grid, spec, tableaux)

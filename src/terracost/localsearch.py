@@ -97,7 +97,7 @@ class DescentCache:
 
         Arc j runs from ordinate ``y_from[j]`` of stage ``stage[j]`` to
         ``y_to[j]`` of the next stage, and the arcs' keys increase, as a
-        run's do.  ``price(pick)`` is called once, for the arcs not kept
+        sweep's do.  ``price(pick)`` is called once, for the arcs not kept
         yet, which ``pick`` indexes; it returns their tableaux the same way,
         or None when their samples are refused, and then so does this.
         """
@@ -108,17 +108,16 @@ class DescentCache:
         keys = (stage * width + k) * width + s
         at = np.searchsorted(self._arcs, keys)
         new = self._arcs[at] != keys
+        columns = self._columns[at]
         if new.any():
             values = price(new)
             if values is None:
                 return None
-            kept = self._values.shape[1]
-            columns = np.arange(kept, kept + values.shape[1])
+            columns[new] = self._values.shape[1] + np.arange(values.shape[1])
             self._arcs = np.insert(self._arcs, at[new], keys[new])
-            self._columns = np.insert(self._columns, at[new], columns)
+            self._columns = np.insert(self._columns, at[new], columns[new])
             self._values = np.concatenate([self._values, values], axis=1)
-            at = np.searchsorted(self._arcs, keys)
-        return self._values[:, self._columns[at]]
+        return self._values[:, columns]
 
     def windows(self, ys, m: int) -> list[np.ndarray]:
         """Each stage cut to its ordinates within (m + 0.5)*delta of ``ys``.
@@ -156,16 +155,14 @@ def step(
 
     Windows keep the ordinates within m lattice steps of the incumbent knot
     (endpoint stages stay singletons).  A window transition holds at most
-    (2m+1)^2 arcs, so it is relaxed in one block, and a window grid of up to
-    8,192 arcs (one relaxation block) is one run: each field is sampled
-    once and the cost kernel runs once for the whole sweep, which then only
-    relaxes each transition from its share of the run's tableau.  With
-    ``cache``, the :class:`DescentCache` of ``grid`` that :func:`run` keeps,
-    the run samples and integrates only the arcs no earlier step priced;
-    without, the step starts one.  Should the scalar-label sweep ever price
-    its polyline above the incumbent - possible in principle when the
-    delivery rate couples segments - the incumbent's ordinates are kept,
-    which :func:`run` treats as convergence.
+    (2m+1)^2 arcs, so it is relaxed in one block, from its share of the
+    sweep's one lookup in ``cache``, the :class:`DescentCache` of ``grid``
+    that :func:`run` keeps: the sweep samples and integrates only the arcs
+    no earlier step priced, up to 8,192 (one relaxation block) per kernel
+    call.  Without ``cache``, the step starts one.  Should the scalar-label
+    sweep ever price its polyline above the incumbent - possible in
+    principle when the delivery rate couples segments - the incumbent's
+    ordinates are kept, which :func:`run` treats as convergence.
     """
     if m < 1:
         raise ValueError(f"window radius m must be >= 1, got {m}")

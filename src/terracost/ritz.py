@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import CostModel, at_abscissae, smooth_mesh, smooth_path_cost
+from .cost import REFUSALS, CostModel, at_abscissae, smooth_mesh, smooth_path_cost
 
 __all__ = ["RitzCandidate", "RitzResult", "candidate_eval", "minimize", "objective"]
 
@@ -148,8 +148,11 @@ def minimize(
     ``budget`` objective evaluations, gradient probes included, whichever
     comes first.  Exhausting the budget is reported via ``converged``, not
     raised.  No accepted step raises the cost, so the result never
-    exceeds the zero-coefficient cost.  Every evaluation prices on the
-    same mesh, so the fields are bound to its abscissae once, up front.
+    exceeds the zero-coefficient cost.  The chord's pricing errors are
+    raised; a later candidate whose pricing the fields refuse (see
+    :data:`~terracost.cost.REFUSALS`) is priced as +inf, so only that
+    trial is rejected.  Every evaluation prices on the same mesh, so the
+    fields are bound to its abscissae once, up front.
     """
     if basis_size < 1:
         raise ValueError(f"basis_size must be >= 1, got {basis_size}")
@@ -165,7 +168,13 @@ def minimize(
         cand = RitzCandidate(a, span, end_ordinate, mesh_points)
         return objective(cand, bound)
 
-    x, cost, evaluations, converged = _bfgs(fun, x0, budget)
+    def trial(a: np.ndarray) -> float:
+        try:
+            return fun(a)
+        except REFUSALS:  # any other error is a fault, and is raised
+            return np.inf
+
+    x, cost, evaluations, converged = _bfgs(trial, x0, fun(x0), budget)
     return RitzResult(
         candidate=RitzCandidate(x, span, end_ordinate, mesh_points),
         cost=cost,
@@ -183,12 +192,12 @@ _MIN_STEP = 1e-10  # or once backtracking cuts the full step below this fraction
 _ARMIJO = 1e-4  # sufficient decrease, as a fraction of the decrease the slope predicts
 
 
-class _BudgetSpent(Exception):
-    """Raised by the evaluation that would exceed the budget."""
+class _Stop(Exception):
+    """Ends the search at the current point; its argument is ``converged``."""
 
 
-def _bfgs(fun, x: np.ndarray, budget: int):
-    """Minimize ``fun`` from ``x`` by BFGS with forward-difference gradients.
+def _bfgs(fun, x: np.ndarray, fx: float, budget: int):
+    """Minimize ``fun`` from ``x``, where it is ``fx``, by BFGS with forward differences.
 
     The inverse-Hessian approximation is a dense matrix from the identity,
     updated only when the curvature s.y is positive, so it stays positive
@@ -197,22 +206,27 @@ def _bfgs(fun, x: np.ndarray, budget: int):
     *Numerical Optimization*, 2nd ed., ch. 6).  The search stops at the
     first of the tolerances above, or at the call that would exceed
     ``budget``, which ends the step in flight; every call counts, gradient
-    probes included.  Returns (x, f, evaluations, converged).
+    probes included, and so does the caller's one for ``fx``.  A trial
+    step that costs +inf is backtracked; a gradient that is not finite
+    ends the search at the current point.  Returns (x, f, evaluations,
+    converged).
     """
-    evaluations = 0
+    evaluations = 1
 
     def f(a):
         nonlocal evaluations
         if evaluations >= budget:
-            raise _BudgetSpent
+            raise _Stop(False)
         evaluations += 1
         return fun(a)
 
     def gradient(a, fa):
         probes = a + np.diag(_DIFF_STEP * np.maximum(1.0, np.abs(a)))
-        return np.array([f(probe) - fa for probe in probes]) / (probes.diagonal() - a)
+        g = np.array([f(probe) - fa for probe in probes]) / (probes.diagonal() - a)
+        if not np.isfinite(g).all():
+            raise _Stop(True)
+        return g
 
-    fx = f(x)
     try:
         g = gradient(x, fx)
         h = np.eye(x.size)
@@ -233,6 +247,6 @@ def _bfgs(fun, x: np.ndarray, budget: int):
             if (sy := s @ y) > 0:
                 v = np.eye(x.size) - np.outer(s, y) / sy
                 h = v @ h @ v.T + np.outer(s, s) / sy
-    except _BudgetSpent:
-        return x, fx, evaluations, False
+    except _Stop as stop:
+        return x, fx, evaluations, stop.args[0]
     return x, fx, evaluations, True

@@ -804,6 +804,61 @@ def test_ritz_method_via_cli(tmp_path):
     assert data.shape[0] == 128
 
 
+def write_hill(path):
+    """A heightmap hill on the footprint [0, 1]^2, 65 samples a side."""
+    from terracost import Heightmap, write_heightmap
+
+    g = np.linspace(0.0, 1.0, 65)
+    z = 0.3 * np.exp(-((g[None, :] - 0.65) ** 2 + (g[:, None] - 0.35) ** 2) / 0.08)
+    write_heightmap(Heightmap(0.0, 0.0, g[1], g[1], z), path)
+
+
+@pytest.mark.parametrize(
+    "fields, problem, solver",
+    [
+        (
+            {"alpha": {"expression": "0.1"}, "beta": {"expression": "1/(y+0.2)"}},
+            {"y_l": 0.3},
+            {"K": 3, "M": 64},
+        ),
+        (
+            {"alpha": {"expression": "0.1"}, "beta": {"expression": "exp(1000*y)"}},
+            {"y_l": 0.3},
+            {"K": 3, "M": 64},
+        ),
+        (
+            {
+                "alpha": {"expression": "0.1"},
+                "beta": {"expression": "0.5"},
+                "phi": {"heightmap": "hill.hm"},
+            },
+            {"mode": "full3d"},
+            {"K": 6, "M": 128, "q": 16},
+        ),
+    ],
+    ids=["negative-beta", "overflow", "heightmap-footprint"],
+)
+def test_a_ritz_trial_the_fields_refuse_rejects_only_that_trial(tmp_path, fields, problem, solver):
+    # BFGS's trial steps reach points where beta is negative (y < -0.2), where
+    # exp overflows (y > 0.71) or outside the heightmap: each such trial is
+    # backtracked, and the solve ends no higher than the chord's cost (at it
+    # under exp(1000*y), whose every trial step along the gradient overflows).
+    write_hill(tmp_path / "hill.hm")
+    problem = {"l": 1.0, "y_l": 1.0, "corridor": [0.0, 1.0], "mode": "flat2d", **problem}
+    costs = {}
+    for budget in (1, 50000):
+        config = write_config(
+            tmp_path,
+            problem=problem,
+            fields=fields,
+            solver={"method": "ritz", "budget": budget, **solver},
+        )
+        out = tmp_path / f"budget{budget}"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        costs[budget] = json.loads((out / "report.json").read_text())["J"]
+    assert np.isfinite(costs[50000]) and costs[50000] <= costs[1]
+
+
 # A disc on the midpoint of the ritz-relief3d optimum, which ritz cannot see.
 RELIEF_DISC = "0.0025-(x-0.5009784735812133)^2-(y-0.12407024788278881)^2"
 

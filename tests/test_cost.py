@@ -10,6 +10,7 @@ coefficients in conftest probe the two benchmark problems end to end.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from terracost import (
     CostMode,
     CostModel,
     NegativeRateError,
+    build_grid,
     field_from_expression,
     path_cost,
     path_cost_profile,
@@ -263,8 +265,8 @@ def refused_source(name):
     two stages that gather from their lattice, on dyadic steps, on steps
     whose lattice ordinates round differently from the arcs' own, and with
     a lattice corner (0, 79/64) that no arc from the lower 40 ordinates to
-    the upper 40 samples (y - x stays below 40/64 on every arc).  ``run``
-    is a descent's window transitions, sampled as one run.
+    the upper 40 samples (y - x stays below 40/64 on every arc).
+    ``windows`` is a descent's window transitions, priced through its cache.
     """
     delta = 1 / 64
     if name == "dyadic":
@@ -275,6 +277,12 @@ def refused_source(name):
     if name == "corner":
         return 0.0, delta, [(0.0, 1.0, delta * np.arange(40), delta * np.arange(40, 80))]
     return 0.0, delta, window_transitions()
+
+
+def window_cache(transitions, y_lo=0.0, delta=1 / 64):
+    """A descent's cache of the grid whose stages the transitions join."""
+    stages = [transition[2] for transition in transitions] + [transitions[-1][3]]
+    return localsearch.DescentCache(stages, y_lo, delta)
 
 
 def pricing_outcome(model, transition, samples):
@@ -296,8 +304,8 @@ def pricing_outcome(model, transition, samples):
         ("x+0.9-y", "1", None, "corner", None),
         ("0", "1+sqrt(x+0.9-y)", None, "corner", None),
         ("0.1", "1", "sqrt(x+0.9-y)", "corner", None),
-        ("0.92-x", "1", None, "run", NegativeRateError),
-        ("0", "0.5+sqrt(0.95-x)", None, "run", ExprDomainError),
+        ("0.92-x", "1", None, "windows", NegativeRateError),
+        ("0", "0.5+sqrt(0.95-x)", None, "windows", ExprDomainError),
     ],
     ids=[
         "alpha",
@@ -313,17 +321,18 @@ def pricing_outcome(model, transition, samples):
     ],
 )
 def test_a_refused_shared_source_prices_its_arcs_directly(alpha, beta, phi, source, error):
-    # A stage lattice or a run holding a negative rate sample or a point a
-    # field refuses is not shared: its transitions get None and price their
-    # arcs from their own points, which gives direct pricing's tableau where
-    # no arc reads the refused samples and direct pricing's error, in stage
-    # order, where one does.
+    # A stage lattice or a descent cache's pricing holding a negative rate
+    # sample or a point a field refuses is not shared: its transitions get
+    # None and price their arcs from their own points, which gives direct
+    # pricing's tableau where no arc reads the refused samples and direct
+    # pricing's error, in stage order, where one does.
     if phi is None:
         model = flat_model(alpha=alpha, beta=beta)
     else:
         model = full3d_model(phi, alpha=alpha, beta=beta)
     y_lo, delta, transitions = refused_source(source)
-    entries = list(sample_transitions(model, transitions, y_lo, delta, budget=8192))
+    tableaux = window_cache(transitions) if source == "windows" else None
+    entries = list(sample_transitions(model, transitions, y_lo, delta, 8192, tableaux))
     assert entries == [None] * len(transitions)
     outcomes = []
     for transition, entry in zip(transitions, entries):
@@ -643,18 +652,20 @@ def assert_direct_bits(model, transitions, entries):
     [make_ridge2d_spec, make_relief3d_spec, make_masked_heightmap_spec],
     ids=["flat2d", "full3d", "heightmap"],
 )
-@pytest.mark.parametrize("budget, kernel_calls", [(8192, 1), (20, 6)], ids=["one-run", "six-runs"])
-def test_run_entries_have_the_bits_of_direct_pricing(monkeypatch, make_spec, budget, kernel_calls):
-    # A run is sampled and integrated in one kernel call, and hands each
-    # transition its share: the tableau that pricing the transition alone,
-    # from its own samples, gives bit for bit.  A budget of 20 arcs splits
-    # the 3 + 10 * 9 + 3 arcs into six runs of two transitions each.
-    model = make_spec().model
-    transitions = window_transitions()
-    calls = count_kernel_calls(monkeypatch)
-    entries = list(sample_transitions(model, transitions, 0.0, 1 / 64, budget))
-    assert len(calls) == kernel_calls
-    assert_direct_bits(model, transitions, entries)
+@pytest.mark.parametrize("q", [2, 16], ids=["q2", "q16"])
+def test_a_sweep_without_a_cache_shares_only_stage_lattices(make_spec, q):
+    # Without a descent's cache a transition either gathers from its stage
+    # lattice or prices its own points.  On the tau 0.25 grid of 9
+    # ordinates, a 9 x 9 transition has 81 arcs: more than the 17 fine
+    # lattice ordinates at q = 2, which gathers, fewer than the 129 at
+    # q = 16, which leaves every transition to its own points.
+    spec = make_spec(q)
+    grid = build_grid(spec, 0.25, 1 / 8)
+    transitions = list(zip(grid.xs, np.diff(grid.xs), grid.stages, grid.stages[1:]))
+    entries = list(sample_transitions(spec.model, transitions, 0.0, 1 / 8, 8192))
+    assert entries[0] is None and entries[-1] is None
+    for entry in entries[1:-1]:
+        assert entry is None if q == 16 else isinstance(entry, cost._Lattice)
 
 
 @pytest.mark.parametrize(
@@ -663,15 +674,15 @@ def test_run_entries_have_the_bits_of_direct_pricing(monkeypatch, make_spec, bud
     ids=["flat2d", "full3d", "heightmap"],
 )
 def test_a_descent_cache_prices_each_run_arc_once(monkeypatch, make_spec):
-    # With a descent's cache of the stages' arcs, the six runs of a 20-arc
-    # budget are priced in six kernel calls, and a second pass over them in
-    # none; the tableaux handed out keep direct pricing's bits either way.
+    # With a descent's cache of the stages' arcs, one sweep of the window
+    # transitions looks all 3 + 10 * 9 + 3 arcs up at once; a 20-arc budget
+    # prices them in ceil(96 / 20) kernel calls, and a second sweep in none.
+    # The tableaux handed out keep direct pricing's bits either way.
     model = make_spec().model
     transitions = window_transitions()
-    stages = [transition[2] for transition in transitions] + [transitions[-1][3]]
-    tableaux = localsearch.DescentCache(stages, 0.0, 1 / 64)
+    tableaux = window_cache(transitions)
     calls = count_kernel_calls(monkeypatch)
-    for kernel_calls in (6, 0):
+    for kernel_calls in (math.ceil(96 / 20), 0):
         calls.clear()
         entries = list(sample_transitions(model, transitions, 0.0, 1 / 64, 20, tableaux))
         assert len(calls) == kernel_calls
@@ -680,7 +691,7 @@ def test_a_descent_cache_prices_each_run_arc_once(monkeypatch, make_spec):
 
 def test_a_cache_keeps_nothing_where_lattice_indices_repeat():
     # 0.5 and 0.51 share the lattice index 1 of y_lo + k/2, so keys could
-    # not tell their arcs apart; the cache prices every run afresh instead.
+    # not tell their arcs apart; the cache prices every sweep afresh instead.
     model = flat_model()
     stages = [np.array([0.0]), np.array([0.5, 0.51]), np.array([1.0])]
     transitions = [(0.0, 0.5, stages[0], stages[1]), (0.5, 0.5, stages[1], stages[2])]
@@ -691,12 +702,16 @@ def test_a_cache_keeps_nothing_where_lattice_indices_repeat():
 
 
 def test_a_run_with_a_negative_rate_sample_is_not_integrated():
-    # alpha = 0.92 - x is negative inside the last transition only.  Its
-    # run hands out no tableaux, so every transition prices its own arcs
-    # and the negative rate is refused by the last one, in stage order.
+    # alpha = 0.92 - x is negative inside the last transition only.  The
+    # cache's pricing of the sweep's arcs is refused, so it hands out no
+    # tableaux and keeps none: every transition prices its own arcs and the
+    # negative rate is refused by the last one, in stage order.
     model = flat_model(alpha="0.92-x")
     transitions = window_transitions()
-    assert list(sample_transitions(model, transitions, 0.0, 1 / 64, 8192)) == [None] * 12
+    tableaux = window_cache(transitions)
+    for _ in range(2):
+        entries = list(sample_transitions(model, transitions, 0.0, 1 / 64, 8192, tableaux))
+        assert entries == [None] * 12
     for transition in transitions[:-1]:
         segment_cost_batch(model, *transition)
     with pytest.raises(NegativeRateError, match=r"'alpha' is negative .* = \(0\.9"):

@@ -279,10 +279,12 @@ def step_chain(spec, grid, m=1):
 def test_run_is_bit_identical_for_any_block_size(monkeypatch, make_spec, block_arcs):
     # run keeps one cache over its steps, so it prices each window arc once;
     # the reference chain of bare steps prices every window arc at every
-    # step.  With blocks of one arc no window transition joins a run, so
-    # each samples its own arcs per to-node; blocks of 7 arcs split the 3x3
-    # windows but group the fans and the obstacle's ragged windows; the
-    # default groups whole window grids.
+    # step.  The cache serves transitions of at most one block: with blocks
+    # of one arc only one-arc transitions, and the others sample their own
+    # arcs per to-node; blocks of 7 arcs split the 3x3 windows, which price
+    # their own points, but leave the fans and the obstacle's ragged
+    # windows to the cache, 7 new arcs per kernel call; by default it
+    # serves whole window grids.
     spec = make_spec()
     grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
     incumbent, costs, evaluations = step_chain(spec, grid)
@@ -325,8 +327,9 @@ def counted_fields(spec):
 
 
 def test_window_grid_samples_its_fields_once():
-    # A 16-stage window grid holds at most 3 + 14 * 9 + 3 arcs, one run:
-    # each field is evaluated once per step, not once per transition.
+    # A 16-stage window grid holds at most 3 + 14 * 9 + 3 arcs, one block,
+    # all looked up in the step's cache at once: each field is evaluated
+    # once per step, not once per transition.
     spec = make_relief3d_spec()
     grid = build_grid(spec, 1 / 16, (1 / 16) ** 1.5)
     incumbent = localsearch.initial_incumbent(grid, spec)

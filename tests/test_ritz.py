@@ -323,10 +323,24 @@ def test_bfgs_finds_the_minimizer_of_a_convex_quadratic():
         d = a - target
         return 0.5 * d @ hessian @ d + 1.0
 
-    x, fx, evaluations, converged = _bfgs(fun, np.zeros(6), 10000)
+    x0 = np.zeros(6)
+    x, fx, evaluations, converged = _bfgs(fun, x0, fun(x0), 10000)
     assert converged and evaluations == len(calls) < 10000
     np.testing.assert_allclose(x, target, atol=1e-6)
     assert fx == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bfgs_backtracks_from_an_unpriced_trial_and_stops_at_an_unpriced_probe():
+    # (a - 1)^2 cannot be priced beyond a = 1/2.  The first step backtracks
+    # from a = 2 and a = 1 to just below 1/2; there a gradient probe cannot
+    # be priced, so the search ends at that point, with budget to spare.
+    def fun(a):
+        return np.inf if a[0] > 0.5 else float((a[0] - 1.0) ** 2)
+
+    x0 = np.zeros(1)
+    x, fx, evaluations, converged = _bfgs(fun, x0, fun(x0), 100)
+    assert converged and evaluations == 6
+    assert x[0] == pytest.approx(0.5) and x[0] <= 0.5 and fx == fun(x)
 
 
 @pytest.mark.parametrize("basis_size", [3, 10])
