@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _reuse_freed_heap() -> None:
     # A sweep allocates and frees block arrays (the samples and tableaux of
-    # its directly priced arcs, each block's row-kernel state) thousands of
+    # its directly priced arcs and of each stage-lattice block) thousands of
     # times.  At glibc's default thresholds freed heap tops go back to the
     # kernel and fault back in: a fresh-process tau-1/48 ridge2d dp.solve
     # takes about 9.9 k minor faults, and 1.5 k with M_TRIM_THRESHOLD (-1)

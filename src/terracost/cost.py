@@ -34,13 +34,12 @@ kernel is then one numpy operation over whole rows of pieces rather than a
 order, so a piece gets the same bits in a batch of any shape: the
 within-piece prefix by running sums, a trapezoid's interior rows by one
 reduction over rows, which numpy adds in row order (a batch of single
-samples keeps a running sum there too).  Straight
-flat 2-D pieces take :func:`_integrate_straight`, from a whole batch's
-stacked rows and a stage-lattice block's rows alike: their density
-sqrt(1 + y'^2) is the same at every sample and scales each sum once, and
-their interior rates are summed from j = q - 1 down to 1.  Other pieces
-take full rows, summed in index order; :func:`_integrate_rows` takes the
-same steps with the rows fed one at a time, for full 3-D lattice blocks.
+samples keeps a running sum there too).  Straight flat 2-D pieces take
+:func:`_integrate_straight`, from a whole batch's stacked rows and a
+stage-lattice block's rows alike: their density sqrt(1 + y'^2) is the
+same at every sample and scales each sum once, and their interior rates
+are summed from j = q - 1 down to 1.  Other pieces, full 3-D stage-lattice
+blocks among them, take full rows, summed in index order.
 
 The kernel reads field values, not fields.  This module is the only one
 that samples fields, and :func:`sample_transitions` holds the one rule for
@@ -58,12 +57,13 @@ where a stage transition's samples come from.  There are three sources:
   lattice (x_start + j*tau/q, y_lo + r*delta/q), one row per sample
   abscissa.  That entry is affine in (k, s), so a block of arcs reads its
   sample j as a strided view of lattice row j, with strides q - j and j
-  (picking the block's ordinates where a mask leaves gaps), and integrates
-  it in place row after row, keeping only a few arrays of the block's
-  shape.  Only exact lattice ordinates gather; an off-lattice start or
-  terminal ordinate is priced directly.  The lattice's ordinates round
-  differently from the arcs' own, so gathered values agree with direct
-  ones to rounding only;
+  (picking the block's ordinates where a mask leaves gaps).  In flat 2-D
+  a block sums these views in place; in full 3-D it stacks them into one
+  (q + 1, from, to) batch for :func:`_integrate`.  Either way its memory
+  is bounded by the block's arcs, not the stage's.  Only exact lattice
+  ordinates gather; an off-lattice start or terminal ordinate is priced
+  directly.  The lattice's ordinates round differently from the arcs' own,
+  so gathered values agree with direct ones to rounding only;
 * a windowed descent's cache of its grid's arc tableaux
   (:class:`~terracost.localsearch.DescentCache`).  A sweep looks up every
   arc of its other transitions there at once, and only the arcs no earlier
@@ -333,53 +333,6 @@ def _integrate(samples: _Samples, yp, h, shape) -> SegmentTableau:
     return SegmentTableau(_trapz(prefix, h) + _trapz(build, h), slope, delta_len)
 
 
-def _integrate_rows(rows, yp, h) -> SegmentTableau:
-    """:func:`_integrate` for straight full 3-D pieces, their rows fed one at a time.
-
-    ``rows`` holds the batch's rows in order, each the stacked fields of
-    one sample of every piece, with the pieces' shape, which ``yp`` has too.
-    The steps are _integrate's, in its order, so every piece gets the same
-    bits, but the batch keeps only a few arrays of that shape: the prefix
-    length, the interior sums of delivery, prefix * delivery and build, and
-    row 0's terms.
-    """
-    q = len(rows) - 1
-    half = 0.5 * h
-    run = 1.0 + yp * yp
-    phi = spare = inc = work = None
-    for j, (alpha, beta, phi_x, phi_y) in enumerate(rows):
-        phi, spare = np.multiply(phi_y, yp, out=spare), phi
-        phi += phi_x
-        phi *= phi
-        phi += run
-        np.sqrt(phi, out=phi)
-        if j:
-            inc = np.add(spare, phi, out=inc)
-            inc *= half
-        if j == 1:
-            length = inc.copy()
-        elif j:
-            length += inc
-        out = work or (None, None, None)
-        delivery = np.multiply(alpha, phi, out=out[0])
-        terms = (
-            delivery,
-            np.multiply(length if j else 0.0, delivery, out=out[1]),
-            np.multiply(beta, phi, out=out[2]),
-        )
-        if j == 0:
-            first = terms
-        elif j == 1:
-            sums = terms
-            work = tuple(np.empty_like(t) for t in terms)
-        elif j < q:
-            for total, term in zip(sums, terms):
-                total += term
-    # terms are row q's.
-    ends = [_trapezoid(*args, h) for args in zip(first, sums, terms)]
-    return SegmentTableau(ends[1] + ends[2], ends[0], length)
-
-
 def _linear_points(q: int, x_start, tau, y_from, y_to):
     # Sample points of the straight segments (x_start, y_from) ->
     # (x_start + tau, y_to), with a new leading sample axis; the arguments
@@ -430,15 +383,17 @@ class _Lattice(NamedTuple):
 
 def _linear_tableau(model: CostModel, x_start, tau, y_from, y_to, lattice=None):
     # Price the straight arcs (x_start, y_from) -> (x_start + tau, y_to),
-    # whose arguments broadcast as in _linear_points: from a _Lattice's rows,
-    # read one after another, or else from field samples taken and checked
-    # at the arcs' own points.
+    # whose arguments broadcast as in _linear_points: from a _Lattice's rows
+    # (stacked into one (q + 1, F, T) batch in full 3-D), or else from field
+    # samples taken and checked at the arcs' own points.
     q = model.quadrature_subdivisions
     yp = (y_to - y_from) / tau
     if lattice is not None:
         rows = list(lattice.rows(y_from, y_to))
-        flat = model.mode is CostMode.FLAT_2D
-        return (_integrate_straight if flat else _integrate_rows)(rows, yp, tau / q)
+        if model.mode is CostMode.FLAT_2D:
+            return _integrate_straight(rows, yp, tau / q)
+        samples = _Samples(*np.stack(rows, axis=1))
+        return _integrate(samples, yp, tau / q, samples.alpha.shape)
     xs, ys = _linear_points(q, x_start, tau, y_from, y_to)
     samples = _sample(model, xs, ys)
     _check_rates(samples, xs, ys)
@@ -491,7 +446,9 @@ def _cached_entries(model: CostModel, transitions, stages, budget: int, tableaux
     # The tableaux of the transitions leaving ``stages``, by stage, as views
     # into one lookup of all their arcs in ``tableaux``, which prices those it
     # lacks from their own points, at most ``budget`` arcs per kernel call.
-    # Empty when _shared_samples refuses the samples of an arc to price.
+    # Empty when _shared_samples refuses the samples of an arc to price; that
+    # costs a descent nothing, since the arc's transition then prices those
+    # same points directly, refuses them again and ends the descent.
     picked = [transitions[i] for i in stages]
     owner, *arcs = _arcs(picked)
     q = model.quadrature_subdivisions

@@ -499,7 +499,7 @@ def test_gather_reads_each_arcs_lattice_entries(make_spec):
 @pytest.mark.parametrize(
     "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
 )
-def test_row_kernel_has_the_bits_of_the_whole_batch_kernel(make_spec, q):
+def test_a_lattice_block_has_the_bits_of_integrate_on_its_gathered_samples(make_spec, q):
     # A block priced from the stage lattice, as the sweep prices it, has the
     # bits of the whole-batch kernel fed the same samples as one
     # (q + 1, F, T) batch, in flat 2-D and in full 3-D alike.

@@ -276,12 +276,15 @@ def test_block_split_is_bit_identical(monkeypatch, make_spec, block_arcs):
     assert gapped and any(gapped) == (spec.mask is not None)
 
 
-def test_transition_memory_does_not_grow_with_the_lattice():
+@pytest.mark.parametrize(
+    "make_spec", [make_ridge2d_spec, make_relief3d_spec], ids=["ridge2d", "relief3d"]
+)
+def test_transition_memory_does_not_grow_with_the_lattice(make_spec):
     # The lattice of tau 1/48, delta = tau^1.5 (N = 333) on four stages: a
     # whole-stage tableau would hold 333 * 333 * 17 samples per array (15 MB
     # each, over 100 MB at peak); the memory of a transition does not
-    # depend on the number of stages.
-    spec = make_ridge2d_spec()
+    # depend on the number of stages, in flat 2-D or in full 3-D.
+    spec = make_spec()
     grid = build_grid(spec, 1 / 4, (1 / 48) ** 1.5)
     assert dp.lattice_size(spec.corridor, grid.delta) == 333
     tracemalloc.start()

@@ -395,7 +395,7 @@ LATE_RAISING_BETA_NEAR_PATH = "0.5+sqrt((x-0.5)^2+(y-0.13)^2-0.0001)"
 )
 def test_errors_at_arcs_a_later_step_reaches_are_those_of_bare_steps(name, text, error):
     # Arcs the cache already holds are not sampled again, so the first step
-    # to reach the refused points samples only its new arcs, and its run
+    # to reach the refused points samples only its new arcs, and its sweep
     # falls back to pricing each transition directly, in stage order.
     reference = make_relief3d_spec()
     model = dataclasses.replace(reference.model, **{name: field_from_expression(text)})
