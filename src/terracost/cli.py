@@ -239,11 +239,17 @@ def load_config(path: str | Path) -> RunConfig:
     for key, name in vars(output).items():
         if not (isinstance(name, str) and name):
             raise ConfigError(f"output.{key} must be a non-empty file name, got {name!r}")
-        if Path(name).is_absolute() or ".." in Path(name).parts:
+        out_path = Path(name)  # "." and "./" have no file part
+        if out_path.is_absolute() or ".." in out_path.parts or not out_path.name:
             raise ConfigError(f"output.{key} must name a file under --out, got {name!r}")
-        if Path(name) in files:
-            raise ConfigError(f"output.{files[Path(name)]} and output.{key} name the same file")
-        files[Path(name)] = key
+        if out_path in files:
+            raise ConfigError(f"output.{files[out_path]} and output.{key} name the same file")
+        for other, other_key in files.items():
+            if other in out_path.parents or out_path in other.parents:
+                raise ConfigError(
+                    f"output.{other_key} and output.{key} name a file and a directory holding it"
+                )
+        files[out_path] = key
 
     verify = _object(raw.get("verify", {}), "verify", ["gap_threshold"])
     gap_threshold = verify.get("gap_threshold")
@@ -330,6 +336,22 @@ def _grid_for(config: RunConfig, spec: dp.ProblemSpec) -> dp.StageGrid:
     return dp.build_grid(spec, tau, delta)
 
 
+def _level_row(spec: dp.ProblemSpec, tau: float, delta: float, traj) -> dict:
+    """The record of one grid level solved by ``dp`` or ``local``."""
+    n = traj.xs.size - 1
+    evals = traj.diagnostics.segment_cost_evaluations
+    return {
+        "tau": tau,
+        "delta": delta,
+        "n": n,
+        "lattice_size": dp.lattice_size(spec.corridor, delta),
+        "segment_cost_evaluations": evals,
+        "evaluations_per_stage": evals / n,
+        "J": traj.cost,
+        "wall_time_s": traj.diagnostics.wall_time,
+    }
+
+
 def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int):
     """Solve the halving schedule from solver.tau through ``dp.solve_refined``.
 
@@ -337,22 +359,7 @@ def _ladder(config: RunConfig, spec: dp.ProblemSpec, k_max: int):
     """
     schedule, _ = _schedule(config.solver, k_max)
     trajs = dp.solve_refined(spec, schedule)
-    rows = []
-    for (tau, delta), traj in zip(schedule, trajs):
-        n = traj.xs.size - 1
-        evals = traj.diagnostics.segment_cost_evaluations
-        rows.append(
-            {
-                "tau": tau,
-                "delta": delta,
-                "n": n,
-                "lattice_size": dp.lattice_size(spec.corridor, delta),
-                "segment_cost_evaluations": evals,
-                "evaluations_per_stage": evals / n,
-                "J": traj.cost,
-                "wall_time_s": traj.diagnostics.wall_time,
-            }
-        )
+    rows = [_level_row(spec, tau, delta, traj) for (tau, delta), traj in zip(schedule, trajs)]
     return rows, trajs[-1]
 
 
@@ -415,31 +422,23 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec):
         )
         return traj, report, (cum_len, cum_cost)
 
-    if s.method == "dp" and s.refine_levels > 0:
+    if s.method == "dp":
         rows, traj = _ladder(config, spec, s.refine_levels)
-        report["levels"] = [
-            {key: row[key] for key in ("tau", "delta", "J", "segment_cost_evaluations")}
-            for row in rows
-        ]
-        grid_info = {key: rows[-1][key] for key in ("tau", "delta", "n", "lattice_size")}
-    else:
+        if s.refine_levels > 0:
+            report["levels"] = [
+                {key: row[key] for key in ("tau", "delta", "J", "segment_cost_evaluations")}
+                for row in rows
+            ]
+    else:  # local
         grid = _grid_for(config, spec)
-        grid_info = {
-            "tau": grid.tau,
-            "delta": grid.delta,
-            "n": grid.n,
-            "lattice_size": dp.lattice_size(spec.corridor, grid.delta),
-        }
-        if s.method == "dp":
-            traj = dp.solve(grid, spec)
-        else:  # local
-            traj = localsearch.run(spec, grid, m=s.m, max_iter=s.max_iter)
-            if traj.diagnostics.hit_max_iter:
-                report["hit_max_iter"] = True
+        traj = localsearch.run(spec, grid, m=s.m, max_iter=s.max_iter)
+        rows = [_level_row(spec, grid.tau, grid.delta, traj)]
+        if traj.diagnostics.hit_max_iter:
+            report["hit_max_iter"] = True
     report.update(
         {
             "J": traj.cost,
-            "grid": grid_info,
+            "grid": {key: rows[-1][key] for key in ("tau", "delta", "n", "lattice_size")},
             "segment_cost_evaluations": traj.diagnostics.segment_cost_evaluations,
             "wall_time_s": traj.diagnostics.wall_time,
             # local alone iterates; dp reports None for these.
@@ -603,13 +602,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _reuse_freed_heap() -> None:
-    # A sweep allocates and frees block arrays (the samples and tableaux of
-    # its directly priced arcs and of each stage-lattice block) thousands of
-    # times.  At glibc's default thresholds freed heap tops go back to the
-    # kernel and fault back in: a fresh-process tau-1/48 ridge2d dp.solve
-    # takes about 9.9 k minor faults, and 1.5 k with M_TRIM_THRESHOLD (-1)
-    # and M_MMAP_THRESHOLD (-3) raised, which keeps those pages for reuse at
-    # the cost of holding freed heap.
+    # A sweep samples its fields once per stage lattice (cost._sample_lattice),
+    # and the expression temporaries over a (q + 1) x m lattice are 0.7 MB
+    # each at tau 1/48.  At glibc's default thresholds each one is mapped
+    # afresh and faults its pages in.  A fresh-process seed-0 ridge2d ladder
+    # (tau 1/12 to 1/48) takes 12.0 k minor faults, 11.8 k of them in its 78
+    # lattice samplings and 0.2 k in its 704 block pricings; with
+    # M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3) raised it takes 1.6 k,
+    # 1.5 k of them sampling, at the cost of holding freed heap.  Either
+    # threshold alone does not help.
     import ctypes
 
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

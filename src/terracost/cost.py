@@ -16,7 +16,12 @@ arc length accumulated before it.
 
 In the flattened 2-D mode z' is dropped entirely and the relief is ignored.
 
-One kernel, :func:`_integrate`, integrates.  It prices a batch of pieces
+Two kernels integrate.  :func:`_integrate_straight` prices straight flat
+2-D pieces, whose arc-length density is the same at every sample: a flat
+2-D stage-lattice block's rows, and the straight segments of a flat 2-D
+batch, which :func:`_integrate` hands to it.  :func:`_integrate` prices
+every other piece: full 3-D segments (stage-lattice blocks among them) and
+the mesh cells of a smooth curve.  Either prices a batch of pieces
 (segments or mesh cells), each with q + 1 samples, as the affine split
 delta_j = fixed_cost + prefix_slope * len_start plus the piece's own arc
 length, and leaves the ``len_start`` threading to its callers:
@@ -28,20 +33,18 @@ length, and leaves the ``len_start`` threading to its callers:
   sampled on a :func:`smooth_mesh`.
 
 Every batch of samples is laid out with the sample axis first: shape
-(q + 1, ...), where row j holds sample j of every piece.  Each step of the
-kernel is then one numpy operation over whole rows of pieces rather than a
-(q + 1)-long loop per piece, and its sums over samples run in a fixed
-order, so a piece gets the same bits in a batch of any shape: the
+(q + 1, ...), where row j holds sample j of every piece.  Each step of
+either kernel is then one numpy operation over whole rows of pieces rather
+than a (q + 1)-long loop per piece, and its sums over samples run in a
+fixed order, so a piece gets the same bits in a batch of any shape: the
 within-piece prefix by running sums, a trapezoid's interior rows by one
 reduction over rows, which numpy adds in row order (a batch of single
-samples keeps a running sum there too).  Straight flat 2-D pieces take
-:func:`_integrate_straight`, from a whole batch's stacked rows and a
-stage-lattice block's rows alike: their density sqrt(1 + y'^2) is the
-same at every sample and scales each sum once, and their interior rates
-are summed from j = q - 1 down to 1.  Other pieces, full 3-D stage-lattice
-blocks among them, take full rows, summed in index order.
+samples keeps a running sum there too).  In :func:`_integrate_straight`
+the density sqrt(1 + y'^2) scales each sum once and the interior rates
+are summed from j = q - 1 down to 1; :func:`_integrate` takes full rows,
+summed in index order.
 
-The kernel reads field values, not fields.  This module is the only one
+The kernels read field values, not fields.  This module is the only one
 that samples fields, and :func:`sample_transitions` holds the one rule for
 where a stage transition's samples come from.  There are three sources:
 

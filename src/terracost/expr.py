@@ -61,18 +61,19 @@ class DualValue(NamedTuple):
 # ---------------------------------------------------------------------------
 # one rule per operation
 #
-# Each operator and function is stated once: its value in a table below, its
-# domain check in the node's ``_apply`` and its tangent rule in the node's
-# ``_dual``.  Both traversals take values from ``_apply``, so a value computed
-# with partials has the same bits as one computed without.
+# Each operator and function is stated once: its value and its tangent rule
+# in a table below, its domain check in the node's ``_apply``.  The one rule
+# outside the tables is a constant exponent's, in ``Binary._dual``, since it
+# reads the exponent node.  Both traversals take values from ``_apply``, so a
+# value computed with partials has the same bits as one computed without.
 
-# symbol -> value of ``a op b``
+# symbol -> (value of a op b, dv given a, b, v and the tangents da, db)
 _OPERATORS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": np.power,
+    "+": (operator.add, lambda a, b, v, da, db: da + db),
+    "-": (operator.sub, lambda a, b, v, da, db: da - db),
+    "*": (operator.mul, lambda a, b, v, da, db: da * b + a * db),
+    "/": (operator.truediv, lambda a, b, v, da, db: (da - v * db) / b),
+    "^": (np.power, lambda a, b, v, da, db: v * (db * np.log(a) + b * da / a)),
 }
 
 # name -> (value, dv/du given the argument u and the value v)
@@ -148,7 +149,7 @@ class Binary:
             raise ExprDomainError("division by zero", self.render())
         if self.op == "^":
             self._check_power(a, b)
-        return _OPERATORS[self.op](a, b)
+        return _OPERATORS[self.op][0](a, b)
 
     def _eval(self, x, y):
         return self._apply(self.lhs._eval(x, y), self.rhs._eval(x, y))
@@ -157,15 +158,7 @@ class Binary:
         a, adx, ady = self.lhs._dual(x, y)
         b, bdx, bdy = self.rhs._dual(x, y)
         v = self._apply(a, b)
-        if self.op == "+":
-            return v, adx + bdx, ady + bdy
-        if self.op == "-":
-            return v, adx - bdx, ady - bdy
-        if self.op == "*":
-            return v, adx * b + a * bdx, ady * b + a * bdy
-        if self.op == "/":
-            return v, (adx - v * bdx) / b, (ady - v * bdy) / b
-        if isinstance(self.rhs, Literal):
+        if self.op == "^" and isinstance(self.rhs, Literal):
             # Constant exponent b: d(a^b) = b * a^(b-1) * da.  Valid for
             # negative bases with integer b, where the log form is not.  a^0
             # is the constant 1, also at a = 0 where the rule gives 0 * inf.
@@ -173,8 +166,8 @@ class Binary:
                 return v, 0.0, 0.0
             g = b * np.power(a, b - 1.0)
             return v, g * adx, g * ady
-        loga = np.log(a)
-        return v, v * (bdx * loga + b * adx / a), v * (bdy * loga + b * ady / a)
+        rule = _OPERATORS[self.op][1]
+        return v, rule(a, b, v, adx, bdx), rule(a, b, v, ady, bdy)
 
     def _check_power(self, a, b):
         if isinstance(self.rhs, Literal) and float(self.rhs.value).is_integer():

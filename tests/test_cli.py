@@ -220,6 +220,14 @@ def test_local_report_differs_only_in_expected_fields(tmp_path):
         assert r_dp[key] == r_local[key], key
 
 
+def test_local_report_flags_hit_max_iter(tmp_path):
+    config = write_config(tmp_path, solver={"method": "local", "tau": 0.125, "max_iter": 1})
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["hit_max_iter"] is True
+    assert report["iterations"] == 1
+
+
 def test_local_report_lists_cost_and_evaluations_per_iteration(tmp_path):
     # One entry per truncated sweep, the last one the fixed point; a sweep
     # never returns a costlier incumbent.
@@ -636,6 +644,24 @@ RITZ = {"method": "ritz", "K": 2, "budget": 10}
             {"output": {"report_json": "run.txt", "plot_data": "./run.txt"}},
             "output.report_json and output.plot_data name the same file",
             id="output-names-equal",
+        ),
+        pytest.param(
+            ["solve"],
+            {"output": {"trajectory_csv": "."}},
+            "output.trajectory_csv must name a file under --out, got '.'",
+            id="output-name-dot",
+        ),
+        pytest.param(
+            ["solve"],
+            {"output": {"plot_data": "./"}},
+            "output.plot_data must name a file under --out, got './'",
+            id="output-name-dot-slash",
+        ),
+        pytest.param(
+            ["solve"],
+            {"output": {"trajectory_csv": "sub", "report_json": "sub/r.json"}},
+            "output.trajectory_csv and output.report_json name a file and a directory holding it",
+            id="output-name-a-directory-of-another",
         ),
         pytest.param(
             ["verify"],

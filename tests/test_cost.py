@@ -770,6 +770,8 @@ def test_path_cost_preconditions():
         path_cost(model, [0.0, 0.5, 0.5], [0.0, 0.1, 0.2])
     with pytest.raises(ValueError, match="start at x = 0"):
         path_cost(model, [0.1, 0.5], [0.0, 0.1])
+    with pytest.raises(ValueError, match="matching 1-D"):
+        path_cost(model, [0.0, 0.5, 1.0], [0.0, 1.0])
 
 
 def test_mode_consistency_on_flat_relief():

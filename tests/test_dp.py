@@ -66,7 +66,10 @@ def test_spec_requires_corridor_containing_endpoints():
 def test_spec_requires_feasible_endpoints():
     model = make_flat_spec().model
     mask = field_from_expression("y-0.5")  # forbids y > 0.5
-    with pytest.raises(ValueError, match="infeasible"):
+    with pytest.raises(ValueError, match=r"terminal point \(1.0, 1.0\) is infeasible"):
+        ProblemSpec(l=1.0, y_l=1.0, corridor=(0.0, 1.0), model=model, mask=mask)
+    mask = field_from_expression("0.5-y")  # forbids y < 0.5
+    with pytest.raises(ValueError, match=r"start point \(0, 0\) is infeasible"):
         ProblemSpec(l=1.0, y_l=1.0, corridor=(0.0, 1.0), model=model, mask=mask)
 
 

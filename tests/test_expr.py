@@ -96,6 +96,20 @@ def test_unknown_identifier_rejected():
     assert err.value.position == 0
 
 
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("x $ y", "unexpected character '$'", 2),
+        ("sin x", "expected '(' after function 'sin'", 4),
+    ],
+)
+def test_syntax_error_names_message_and_position(text, message, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (position {position})"
+    assert err.value.position == position
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ExprSyntaxError):
         parse("sinh(x)")
@@ -137,6 +151,7 @@ def test_eval_cos_squared_at_origin():
         ("1/x", 0.0, 0.0, "division by zero"),
         ("x^0.5", -2.0, 0.0, "non-integer exponent"),
         ("x^(0-1)", 0.0, 0.0, "exponent"),
+        ("x^-2", 0.0, 1.0, "zero base with negative exponent"),
     ],
 )
 def test_domain_errors_name_subexpression(text, x, y, match):

@@ -479,6 +479,13 @@ def test_max_iter_flagged_not_raised():
     assert traj.diagnostics.hit_max_iter
 
 
+def test_max_iter_below_one_is_refused():
+    spec = make_ridge2d_spec()
+    grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.5)
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        localsearch.run(spec, grid, m=1, max_iter=0)
+
+
 def test_default_max_iter_scales_with_lattice():
     spec = make_ridge2d_spec()
     grid = build_grid(spec, 1 / 8, (1 / 8) ** 1.5)
