@@ -66,7 +66,15 @@ where a stage transition's samples come from.  There are three sources:
   is bounded by the block's arcs, not the stage's.  Only exact lattice
   ordinates gather; an off-lattice start or terminal ordinate is priced
   directly.  The lattice's ordinates round differently from the arcs' own,
-  so gathered values agree with direct ones to rounding only;
+  so gathered values agree with direct ones to rounding only.  A lattice
+  also keeps the extremes of its samples (least and largest alpha and
+  beta, largest |phi_x| and |phi_y|), found in one min and one max pass
+  over its stacked fields.  Every arc it prices has its arc length between
+  that of its chord and, in full 3-D, of the chord climbing the steepest
+  relief, and its rates between those extremes, so
+  ``_Lattice.candidate_bounds`` bounds the sweep's candidate
+  d + fixed_cost + L*prefix_slope of any arc from the arc's rise alone;
+  the sweep then prices only the from-rows that can win a block;
 * a windowed descent's cache of its grid's arc tableaux
   (:class:`~terracost.localsearch.DescentCache`).  A sweep looks up every
   arc of its other transitions there at once, and only the arcs no earlier
@@ -349,11 +357,33 @@ class _Lattice(NamedTuple):
     # The fields sampled once on the fine lattice of one stage transition,
     # stacked as (fields, q + 1, m): alpha, beta (and phi_x, phi_y in full
     # 3-D), sample axis next, entry (j, r) at
-    # (x_start + j*tau/q, y_lo + delta*(k_lo*q + r)/q).
+    # (x_start + j*tau/q, y_lo + delta*(k_lo*q + r)/q).  ``extremes`` holds
+    # the least and largest alpha and beta sample and the largest |phi_x|
+    # and |phi_y| (zero in flat 2-D), NaN when a sample is.
     y_lo: float
     delta: float
     k_lo: int
     fields: np.ndarray
+    extremes: tuple[float, float, float, float, float, float]
+
+    def candidate_bounds(self, tau, near, far, d, length):
+        # Bounds on the candidate d + fixed_cost + length * prefix_slope of
+        # every arc of width tau on this lattice whose rise is at least
+        # ``near`` and at most ``far`` in size, for labels (d, length); the
+        # arguments broadcast.  A sample's rates lie between the extremes,
+        # and its arc-length density between that of the chord and, in full
+        # 3-D, of the chord climbing the steepest relief, so the arc length
+        # lies between ``short`` and ``long``, prefix_slope between the least
+        # and largest alpha times it, and fixed_cost, term by term of the
+        # trapezoid sums (the prefix at sample j lies within j*h times the
+        # density's bounds), between beta times it plus alpha times half its
+        # square.  Rounding moves either bound by about q ulps.
+        a_lo, a_hi, b_lo, b_hi, p_x, p_y = self.extremes
+        short = np.sqrt(tau * tau + near * near)
+        long = np.sqrt(tau * tau + far * far + (p_x * tau + p_y * far) ** 2)
+        lower = d + short * ((b_lo + a_lo * length) + (0.5 * a_lo) * short)
+        upper = d + long * ((b_hi + a_hi * length) + (0.5 * a_hi) * long)
+        return lower, upper
 
     def rows(self, y_from, y_to):
         # The samples of the arcs from the column y_from to the row y_to of
@@ -425,7 +455,10 @@ def _sample_lattice(model: CostModel, y_lo, delta, x_start, tau, y_from, y_to):
     if fields is None:
         return None
     fields = np.stack([np.broadcast_to(v, (q + 1, ys.size)) for v in fields if v is not None])
-    return _Lattice(y_lo, delta, k_lo, fields)
+    low, high = fields.min(axis=(1, 2)), fields.max(axis=(1, 2))
+    steep = np.maximum(high[2:], -low[2:]) if len(fields) > 2 else (0.0, 0.0)
+    extremes = (low[0], high[0], low[1], high[1], *steep)
+    return _Lattice(y_lo, delta, k_lo, fields, tuple(map(float, extremes)))
 
 
 def _arcs(transitions):

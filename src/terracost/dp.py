@@ -17,20 +17,32 @@ otherwise (the exhaustive reference solver in :mod:`terracost.oracle`
 measures the gap).
 
 A stage transition is relaxed in blocks of to-nodes of at most 8,192
-candidate arcs, so its memory no longer grows as N^2*q with the lattice
+priced arcs, so its memory no longer grows as N^2*q with the lattice
 size N.  A to-node's minimum reads only its own column of candidates, so
 results are bit-identical for any block split; blocks run one after another
 on the calling thread.  A label that is not finite (singular or overflowing
 fields) stops the sweep with an error naming its stage, so it can never pick
 a path.
 
+A block of a stage-lattice transition prices only the from-rows that can
+win one of its columns.  The lattice bounds every candidate
+d + fixed_cost + L*slope of a row from its extreme alpha, beta and relief
+slopes; one vectorised pass over (from-nodes x blocks) leaves out a row
+whose lower bound, at its nearest to-ordinate in the block, exceeds
+1 + 1e-9 times the least upper bound of a row, at that row's farthest
+ordinate.  The block prices the contiguous run of rows from the first kept
+to the last, as one strided block, so every argmin, label and predecessor
+keeps its bits; a NaN bound keeps every row.  On ridge2d at tau 1/48 this
+leaves 2.73 M of 5.10 M arcs to price.  The solve's
+``segment_cost_evaluations`` counts the arcs priced.
+
 Where each transition's field samples come from (a stage lattice sampled
 once, a windowed descent's cache of the grid's arc tableaux, which it
 hands through :func:`solve`, or the arcs' own points) is decided by
 :func:`terracost.cost.sample_transitions`.  The sweep prices each
-transition by its own ``segment_cost_batch`` call and checks its labels
-before the next one's, so results and errors are those of sampling
-transition by transition.
+transition by its own ``segment_cost_batch`` calls, one per block, and
+checks its labels before the next one's, so results and errors are those
+of sampling transition by transition.
 Labels are carried as Python floats.  A transition of at most
 ``_SCALAR_ARCS`` arcs, such as a descent's 3x3 windows, is relaxed on
 them directly: each candidate is the same sum and product in the same
@@ -52,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import CostModel, sample_transitions, segment_cost_batch
+from .cost import CostModel, _Lattice, sample_transitions, segment_cost_batch
 from .terrain import ScalarField2D, feasible
 
 __all__ = [
@@ -72,6 +84,10 @@ __all__ = [
 # Candidate arcs per relaxation block: a transition holds O(_BLOCK_ARCS * q)
 # floats whatever the lattice size.
 _BLOCK_ARCS = 8192
+# A from-row is left out of a block when the lower bound of its candidates
+# exceeds this factor times the least upper bound of a row's candidates: 1 plus
+# far more than the rounding of bounds and candidates (about q ulps).
+_PRUNE_MARGIN = 1.0 + 1e-9
 # Candidate arcs up to which a one-block transition is relaxed on Python
 # floats: a 3x3 window transition takes about 3 us that way and 9 us in
 # numpy (2-vCPU host), and a 5x5 one about the same both ways.
@@ -211,7 +227,7 @@ def build_grid(spec: ProblemSpec, tau: float, delta: float) -> StageGrid:
 def _relax(d, length, tab):
     """Best predecessor, cost-to-come and prefix length for a block of to-nodes.
 
-    ``tab`` prices the arcs from every labelled node to the block's nodes.
+    ``tab`` prices the arcs from the nodes labelled (d, length) to the block's nodes.
     Ties pick the smallest predecessor index (argmin returns the first minimum).
     """
     candidates = d[:, None] + tab.fixed_cost + length[:, None] * tab.prefix_slope
@@ -241,15 +257,44 @@ def _relax_scalars(d, length, tab):
     return best, d_to, length_to
 
 
+def _kept_rows(samples, tau, y_from, y_to, width, d, length):
+    """The from-rows ``lo:hi`` that each block of ``width`` to-nodes prices.
+
+    Only a stage lattice's transition leaves rows out (its
+    ``candidate_bounds``); others price every row.  For each block, U is the
+    least over rows of the upper bound of the row's candidates, taken at its
+    farthest to-ordinate in the block, so no column's minimum exceeds U.  A
+    row whose lower bound, taken at its nearest ordinate, exceeds
+    ``_PRUNE_MARGIN`` * U can neither hold a column's minimum nor tie it.
+    The block prices the rows from its first kept one to its last, so its
+    argmins, labels and predecessors keep their bits.  A NaN bound keeps
+    every row.
+    """
+    starts = np.arange(0, y_to.size, width)
+    if not isinstance(samples, _Lattice):
+        return [(0, y_from.size)] * starts.size
+    # One row per block, one column per from-node.
+    t_lo, t_hi = y_to[starts, None], y_to[np.minimum(starts + width, y_to.size) - 1, None]
+    near = np.maximum(np.maximum(t_lo - y_from, y_from - t_hi), 0.0)
+    far = np.maximum(y_from - t_lo, t_hi - y_from)
+    lower, upper = samples.candidate_bounds(tau, near, far, d, length)
+    keep = ~(lower > _PRUNE_MARGIN * upper.min(axis=1, keepdims=True))
+    lo = keep.argmax(axis=1)
+    hi = y_from.size - keep[:, ::-1].argmax(axis=1)
+    return zip(lo.tolist(), hi.tolist())
+
+
 def _sweep(grid: StageGrid, spec: ProblemSpec, tableaux):
     """Forward pass over all stages.
 
-    Every transition is relaxed in blocks of at most ``_BLOCK_ARCS``
-    candidate arcs (at least one to-node each), one after another; a
-    transition whose tableau a descent's cache holds fits in one block.  A
-    transition of at most ``_SCALAR_ARCS`` arcs that fits in one block is
-    relaxed on Python floats.  Labels are carried as lists.  Returns the predecessors of
-    stages 1..n, the terminal cost-to-come labels and the evaluation count.
+    Every transition is relaxed in blocks of ``_BLOCK_ARCS // len(y_from)``
+    to-nodes (at least one), one after another, each pricing only the
+    from-rows :func:`_kept_rows` keeps; a transition whose tableau a
+    descent's cache holds fits in one block.  A transition of at most
+    ``_SCALAR_ARCS`` arcs that fits in one block is relaxed on Python
+    floats.  Labels are carried as lists.  Returns the predecessors of
+    stages 1..n, the terminal cost-to-come labels and the number of arcs
+    priced.
     """
     model = spec.model
     d, length = [0.0], [0.0]
@@ -262,24 +307,28 @@ def _sweep(grid: StageGrid, spec: ProblemSpec, tableaux):
     )
     scalar_arcs = min(_SCALAR_ARCS, _BLOCK_ARCS)
     for i, ((x_start, tau, y_from, y_to), samples) in enumerate(zip(transitions, entries)):
-        arcs = y_from.size * y_to.size
-        if arcs <= scalar_arcs:
+        if y_from.size * y_to.size <= scalar_arcs:
             tab = segment_cost_batch(model, x_start, tau, y_from, y_to, samples=samples)
             best, d, length = _relax_scalars(d, length, tab)
+            evaluations += tab.fixed_cost.size
         else:
             d, length = np.array(d), np.array(length)
             best = np.empty(y_to.size, dtype=np.intp)
             d_to, length_to = np.empty(y_to.size), np.empty(y_to.size)
             width = max(1, _BLOCK_ARCS // y_from.size)
-            for s in range(0, y_to.size, width):
+            rows = _kept_rows(samples, tau, y_from, y_to, width, d, length)
+            for s, (lo, hi) in zip(range(0, y_to.size, width), rows):
                 block = slice(s, s + width)
-                tab = segment_cost_batch(model, x_start, tau, y_from, y_to[block], samples=samples)
-                best[block], d_to[block], length_to[block] = _relax(d, length, tab)
+                tab = segment_cost_batch(
+                    model, x_start, tau, y_from[lo:hi], y_to[block], samples=samples
+                )
+                best[block], d_to[block], length_to[block] = _relax(d[lo:hi], length[lo:hi], tab)
+                best[block] += lo
+                evaluations += tab.fixed_cost.size
                 # Freed before the next block's is priced, which then reuses
                 # its memory; held over, it slowed a full sweep by about 4 %.
                 del tab
             d, length = d_to.tolist(), length_to.tolist()
-        evaluations += arcs
         if not all(map(math.isfinite, d)):
             raise ValueError(
                 f"non-finite cost-to-come at stage {i + 1} (x = {xs[i + 1]!r}): "

@@ -269,13 +269,16 @@ def test_block_split_is_bit_identical(monkeypatch, make_spec, block_arcs):
         return rows(lattice, y_from, y_to)
 
     monkeypatch.setattr(cost._Lattice, "rows", recorded)
-    run = solve(grid, spec)
+    # The bound pass leaves rows out of blocks of 1 or 7 arcs (one to-node
+    # each), and out of none of the default one-block transitions, so the
+    # priced count depends on the split; each split's calls add up to it.
+    grids, calls = record_sweeps(monkeypatch)
+    run = dp.solve(grid, spec)
     assert run.cost == reference.cost
     assert np.array_equal(run.ys, reference.ys)
-    assert (
-        run.diagnostics.segment_cost_evaluations
-        == reference.diagnostics.segment_cost_evaluations
-    )
+    pruned = assert_calls_are_transitions(grids, calls)
+    assert (pruned > 0) == (block_arcs is not None)
+    assert priced_arcs(calls) == run.diagnostics.segment_cost_evaluations
     assert gapped and any(gapped) == (spec.mask is not None)
 
 
@@ -445,32 +448,40 @@ def record_sweeps(monkeypatch):
 
 def assert_calls_are_transitions(grids, calls):
     # In sweep order, each transition's calls take the model, x_start, tau,
-    # y_from, y_to positionally; y_from is the whole from-stage and the
-    # calls' y_to concatenate to the whole to-stage: real ordinates only.
-    calls = iter(calls)
+    # y_from, y_to positionally; y_from is a contiguous run of the
+    # from-stage's ordinates and the calls' y_to concatenate to the whole
+    # to-stage: real ordinates only.  Returns how many calls left rows out.
+    calls, pruned = iter(calls), 0
     for grid in grids:
         for i in range(grid.n):
-            blocks = []
+            blocks, stage = [], grid.stages[i]
             while sum(block.size for block in blocks) < grid.stages[i + 1].size:
                 _, x_start, tau, y_from, y_to = next(calls)
                 assert x_start == grid.xs[i] and tau == grid.xs[i + 1] - grid.xs[i]
-                assert np.array_equal(y_from, grid.stages[i])
+                lo = int(np.searchsorted(stage, y_from[0]))
+                assert np.array_equal(y_from, stage[lo : lo + len(y_from)])
+                pruned += len(y_from) < stage.size
                 blocks.append(y_to)
             assert np.array_equal(np.concatenate(blocks), grid.stages[i + 1])
     assert next(calls, None) is None
+    return pruned
+
+
+def priced_arcs(calls):
+    # The arcs the benchmark counts: size(y_from) * size(y_to) per call.
+    return sum(np.size(args[3]) * np.size(args[4]) for args in calls)
 
 
 def test_batch_calls_price_whole_transitions(monkeypatch):
     # The benchmark counts a sweep's arcs as size(y_from) * size(y_to) over
     # its segment_cost_batch calls and checks the sum against the solver's
-    # segment_cost_evaluations, so every call prices one transition's own
-    # ordinates, however the fields were sampled.
+    # segment_cost_evaluations, so every call prices a run of one
+    # transition's own ordinates, however the fields were sampled.
     grids, calls = record_sweeps(monkeypatch)
     spec = make_ridge2d_spec()
     traj = dp.solve(build_grid(spec, 1 / 16, (1 / 16) ** 1.5), spec)
     assert_calls_are_transitions(grids, calls)
-    arcs = sum(np.size(args[3]) * np.size(args[4]) for args in calls)
-    assert arcs == traj.diagnostics.segment_cost_evaluations
+    assert priced_arcs(calls) == traj.diagnostics.segment_cost_evaluations
 
 
 def test_window_batch_calls_price_whole_transitions(monkeypatch):
@@ -482,9 +493,142 @@ def test_window_batch_calls_price_whole_transitions(monkeypatch):
     traj = localsearch.run(spec, grid, m=1)
     assert len(grids) == traj.diagnostics.iterations
     assert any(0 < stage.size < 3 for window in grids for stage in window.stages[1:-1])
-    assert_calls_are_transitions(grids, calls)
-    arcs = sum(np.size(args[3]) * np.size(args[4]) for args in calls)
-    assert arcs == traj.diagnostics.segment_cost_evaluations - grid.n
+    assert assert_calls_are_transitions(grids, calls) == 0
+    assert priced_arcs(calls) == traj.diagnostics.segment_cost_evaluations - grid.n
+
+
+# ---------------------------------------------------------------------------
+# the bound pass of a stage-lattice transition
+
+
+def random_lattice_transition(rng, kind):
+    """A random stage-lattice transition: model, x_start, tau, y_from, y_to.
+
+    Rates are non-negative sums of squared sines of random frequency and
+    phase, or random constants for ``constant``, whose bounds are tight up
+    to rounding for blocks of one to-node; ``full3d`` adds a random relief,
+    ``holed`` leaves random gaps in both stages.  Ordinates are exact
+    multiples of delta = 1/32.
+    """
+    def rate(base):
+        a, b, fx, fy, p = rng.uniform([0, 0.1, 1, 1, 0], [base, 2, 9, 9, 3]).tolist()
+        if kind == "constant":
+            return field_from_expression(f"{a + b!r}")
+        return field_from_expression(f"{a!r}+{b!r}*sin({fx!r}*x+{fy!r}*y+{p!r})^2")
+
+    phi = None
+    if kind == "full3d":
+        h, fx, fy = rng.uniform([0.05, 1, 1], [0.4, 6, 6]).tolist()
+        phi = field_from_expression(f"{h!r}*sin({fx!r}*x)*cos({fy!r}*y)")
+    q = int(rng.choice([2, 4, 8, 16]))
+    mode = CostMode.FULL_3D if phi is not None else CostMode.FLAT_2D
+    model = CostModel(
+        alpha=rate(0.5), beta=rate(1.5), phi=phi, mode=mode, quadrature_subdivisions=q
+    )
+    stage = np.arange(33) / 32
+    y_from, y_to = stage, stage
+    if kind == "holed":
+        picks = (rng.choice(stage, rng.integers(8, 30), replace=False) for _ in "ft")
+        y_from, y_to = map(np.sort, picks)
+    x_start, tau = float(rng.uniform(0, 0.9)), float(rng.choice([1 / 8, 1 / 16, 1 / 32]))
+    return model, x_start, tau, y_from, y_to
+
+
+KINDS = ["flat2d", "constant", "full3d", "holed"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_left_out_row_loses_every_column_of_its_block(kind):
+    # For random lattices, labels and blocks of 1 to 8 to-nodes, every
+    # candidate of a row the bound pass leaves out of a block, priced with
+    # every row, exceeds its column's minimum in that block.  So no argmin,
+    # label or predecessor can change, ties included.
+    rng = np.random.default_rng(KINDS.index(kind))
+    rows = left_out = 0
+    for _ in range(40):
+        model, x_start, tau, y_from, y_to = random_lattice_transition(rng, kind)
+        lattice = cost._sample_lattice(model, 0.0, 1 / 32, x_start, tau, y_from, y_to)
+        assert isinstance(lattice, cost._Lattice)
+        # Labels of a stage: a bowl around a random ordinate plus noise.
+        centre, depth = rng.uniform([0, 0], [1, 3])
+        d = depth * (y_from - centre) ** 2 + rng.uniform(0, 0.05, y_from.size) + x_start
+        length = x_start + rng.uniform(0, 0.5, y_from.size)
+        tab = segment_cost_batch(model, x_start, tau, y_from, y_to, samples=lattice)
+        candidates = d[:, None] + tab.fixed_cost + length[:, None] * tab.prefix_slope
+        width = int(rng.integers(1, 9))
+        kept = dp._kept_rows(lattice, tau, y_from, y_to, width, d, length)
+        for s, (lo, hi) in zip(range(0, y_to.size, width), kept):
+            block = candidates[:, s : s + width]
+            out = np.r_[0:lo, hi : y_from.size]
+            assert np.all(block[out] > block.min(axis=0))
+            rows += y_from.size
+            left_out += out.size
+    assert left_out > 0.1 * rows
+
+
+class PoisonedField:
+    """A field that is ``poison`` at abscissa ``x_mid``, or at its unread points.
+
+    On the stage lattice of the transition whose midpoint is ``x_mid``,
+    sample q/2 of an arc from ordinate k to ordinate s lies at fine index
+    (k + s) * q/2, so the points of that abscissa between those indices are
+    read by no arc.
+    """
+
+    def __init__(self, field, x_mid, step, half, poison, unread_only):
+        self.field, self.x_mid, self.step, self.half = field, x_mid, step, half
+        self.poison, self.unread_only = poison, unread_only
+
+    def value(self, x, y):
+        values = np.array(np.broadcast_to(self.field.value(x, y), np.broadcast(x, y).shape))
+        hit = x == self.x_mid
+        if self.unread_only:
+            hit = hit & (np.rint(y / self.step) % self.half != 0)
+        values[np.broadcast_to(hit, values.shape)] = self.poison
+        return values
+
+
+@pytest.mark.parametrize(
+    "name, poison, unread_only",
+    [("alpha", np.nan, True), ("beta", np.inf, True), ("beta", np.nan, False)],
+    ids=["nan-unread", "inf-unread", "nan-read"],
+)
+def test_a_non_finite_lattice_sample_gives_what_an_unpruned_sweep_gives(
+    monkeypatch, name, poison, unread_only
+):
+    # A NaN or inf sample makes the bounds NaN or inf, which keeps every row
+    # of its transition: samples no arc reads leave the solve as it is
+    # unpruned, and samples that arcs read stop the sweep with the same
+    # error.  _PRUNE_MARGIN = inf keeps every row of every transition.
+    spec = make_ridge2d_spec()
+    q = spec.model.quadrature_subdivisions
+    grid = build_grid(spec, 1 / 16, 1 / 32)
+    x_start = grid.xs[5]
+    x_mid, step = x_start + grid.tau / 2, grid.delta / q
+    field = PoisonedField(getattr(spec.model, name), x_mid, step, q // 2, poison, unread_only)
+    spec = dataclasses.replace(spec, model=dataclasses.replace(spec.model, **{name: field}))
+    monkeypatch.setattr(dp, "_BLOCK_ARCS", 64)
+
+    def run():
+        grids, calls = record_sweeps(monkeypatch)
+        with np.errstate(invalid="ignore"):
+            try:
+                traj = dp.solve(grid, spec)
+            except ValueError as err:
+                return str(err), calls
+        return (traj.cost, traj.ys.tolist(), traj.diagnostics.segment_cost_evaluations), calls
+
+    pruned, calls = run()
+    poisoned = [args[3].size for args in calls if args[1] == x_start]
+    assert poisoned and all(rows == grid.stages[5].size for rows in poisoned)
+    monkeypatch.setattr(dp, "_PRUNE_MARGIN", np.inf)
+    unpruned, _ = run()
+    if unread_only:
+        assert pruned[:2] == unpruned[:2]
+        assert pruned[2] < unpruned[2]
+    else:
+        assert pruned == unpruned
+        assert pruned.startswith("non-finite cost-to-come at stage 6 ")
 
 
 def test_ridge_benchmark_value():
