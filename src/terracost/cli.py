@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dp, localsearch, oracle, ritz
-from .cost import CostMode, CostModel, NegativeRateError, path_cost_profile
+from .cost import CostMode, CostModel, NegativeRateError, path_cost, path_cost_profile
 from .expr import ExprDomainError, ExprSyntaxError
 from .terrain import (
     FieldDomainError,
@@ -405,6 +405,20 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec):
         xs = np.linspace(0.0, spec.l, s.M)
         ys, _ = ritz.candidate_eval(result.candidate, xs)
         cost, cum_len, cum_cost = path_cost_profile(spec.model, xs, ys)
+        smooth, unresolved = result.cost, []
+        # J prices the M-knot polyline, which need not resolve a curve the
+        # smooth objective prices lower; the chord is reported instead of a
+        # solved curve whose J exceeds the chord's.
+        chord = ritz.RitzCandidate(np.zeros(s.K), spec.l, spec.y_l, s.M)
+        chord_ys, _ = ritz.candidate_eval(chord, xs)
+        if (chord_cost := path_cost(spec.model, xs, chord_ys)) < cost:
+            unresolved.append(
+                f"ritz's solved curve, of smooth objective {smooth!r}, prices at "
+                f"J = {cost!r} as its {s.M}-knot polyline, above the chord's "
+                f"{chord_cost!r}: the knots do not resolve it, so the chord is reported"
+            )
+            ys, smooth = chord_ys, ritz.objective(chord, spec.model)
+            cost, cum_len, cum_cost = path_cost_profile(spec.model, xs, ys)
         traj = dp.Trajectory(
             xs=xs, ys=ys, cost=cost, diagnostics=dp.SolveDiagnostics(wall_time=wall)
         )
@@ -412,12 +426,12 @@ def _solve(config: RunConfig, spec: dp.ProblemSpec):
             {
                 "J": traj.cost,
                 "grid": {"basis_size": s.K, "mesh_points": s.M},
-                "objective_smooth": result.cost,
+                "objective_smooth": smooth,
                 "objective_evaluations": result.evaluations,
                 "budget_exhausted": not result.converged,
                 "segment_cost_evaluations": None,
                 "wall_time_s": wall,
-                "warnings": _outside_problem(spec, xs, ys),
+                "warnings": unresolved + _outside_problem(spec, xs, ys),
             }
         )
         return traj, report, (cum_len, cum_cost)

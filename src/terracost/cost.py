@@ -32,6 +32,9 @@ length, and leaves the ``len_start`` threading to its callers:
 * :func:`smooth_path_cost`   - the mesh cells of a smooth candidate curve,
   sampled on a :func:`smooth_mesh`.
 
+:func:`smooth_path_gradient` differentiates :func:`smooth_path_cost` by one
+reverse pass of its own, beside the kernels.
+
 Every batch of samples is laid out with the sample axis first: shape
 (q + 1, ...), where row j holds sample j of every piece.  Each step of
 either kernel is then one numpy operation over whole rows of pieces rather
@@ -125,6 +128,7 @@ __all__ = [
     "segment_cost_batch",
     "smooth_mesh",
     "smooth_path_cost",
+    "smooth_path_gradient",
 ]
 
 
@@ -643,3 +647,89 @@ def smooth_path_cost(model: CostModel, xs, ys, yp, h) -> float:
     tab = _integrate(samples, yp, h, ys.shape)
     len_start = np.concatenate([[0.0], np.cumsum(tab.delta_len)[:-1]])
     return _finite(float(np.sum(tab.fixed_cost + len_start * tab.prefix_slope)))
+
+
+# Central-difference step in y relative to max(1, |y|): the cube root of the
+# rounding unit balances truncation against cancellation.
+_Y_STEP = float(np.finfo(float).eps ** (1 / 3))
+
+
+def _y_partials(model: CostModel, xs, ys, samples: _Samples):
+    # d/dy of each field sampled at (xs, ys), by central differences at
+    # ys +- step.  Where the fields refuse one side, every sample takes the
+    # other side's second-order difference (4 f(y + s) - 3 f(y) - f(y + 2s))
+    # / 2s against ``samples``, as accurate as the central one; a refusal of
+    # both sides, or of y + 2s, is raised.  The curve's end samples (x = 0
+    # and x = l on a smooth_mesh) are not shifted, and get partial 0.
+    step = _Y_STEP * np.maximum(1.0, np.abs(ys))
+    step[0, 0] = step[-1, -1] = 0.0
+
+    def shifted(points):
+        try:
+            return _sample(model, xs, points)
+        except (ExprDomainError, FieldDomainError) as exc:
+            return exc
+
+    above, below = ys + step, ys - step
+    upper, lower = shifted(above), shifted(below)
+    if isinstance(upper, Exception) or isinstance(lower, Exception):
+        near, span = (lower, below - ys) if isinstance(upper, Exception) else (upper, above - ys)
+        if isinstance(near, Exception):
+            raise near
+        far = _sample(model, xs, ys + 2.0 * span)
+        scale = np.divide(0.5, span, out=np.zeros_like(span), where=span != 0.0)
+        return [
+            f if f is None else (4.0 * n - 3.0 * f - r) * scale
+            for f, n, r in zip(samples, near, far)
+        ]
+    span = above - below
+    scale = np.divide(1.0, span, out=np.zeros_like(span), where=span != 0.0)
+    return [u if u is None else (u - v) * scale for u, v in zip(upper, lower)]
+
+
+def smooth_path_gradient(model: CostModel, xs, ys, yp, h):
+    """dJ/dys and dJ/dyp of :func:`smooth_path_cost` at the same curve.
+
+    One reverse pass through the quadrature: the trapezoid sums, each
+    cell's arc-length prefix and the ``len_start`` threading between cells,
+    the last two as reverse cumulative sums.  The fields' y-partials come
+    from differences of their samples (see :func:`_y_partials`), so a
+    refusal of the shifted samples on both sides is raised.  The
+    curve's end samples are fixed, and their dJ/dys is 0.  The result
+    agrees with differences of :func:`smooth_path_cost` to rounding, not
+    bit for bit.
+    """
+    samples = _sample(model, xs, ys)
+    d_fields = _y_partials(model, xs, ys, samples)
+    q = len(ys) - 1
+    weight = np.full((q + 1, 1), h)
+    weight[0] = weight[q] = 0.5 * h
+    zp = 0.0 if samples.phi_x is None else samples.phi_x + samples.phi_y * yp
+    arc = np.sqrt(1.0 + yp * yp + zp * zp)
+
+    # Forward: each cell's prefix length at its samples, its length, its slope.
+    prefix = np.zeros_like(arc)
+    prefix[1:] = np.cumsum(0.5 * h * (arc[:-1] + arc[1:]), axis=0)
+    delivery = samples.alpha * arc
+    slope = np.sum(weight * delivery, axis=0)
+    len_start = np.cumsum(prefix[-1]) - prefix[-1]
+    later = np.cumsum(slope[::-1])[::-1] - slope  # slope of the later cells
+
+    # Reverse: J = sum over cells of trapz((prefix + len_start) * delivery
+    # + beta * arc), and prefix[-1] feeds every later cell's len_start.
+    d_delivery = weight * (prefix + len_start)
+    d_prefix = weight * delivery
+    d_prefix[-1] += later
+    d_steps = 0.5 * h * np.cumsum(d_prefix[:0:-1], axis=0)[::-1]  # (q, cells)
+    d_arc = samples.alpha * d_delivery + samples.beta * weight
+    d_arc[:-1] += d_steps
+    d_arc[1:] += d_steps
+    d_ys = (d_delivery * arc) * d_fields[0] + (weight * arc) * d_fields[1]
+    # The density sqrt(1 + y'^2 + z'^2) has d/dy' = y'/arc and d/dz' = z'/arc,
+    # and z' = phi_x + phi_y * y'.
+    d_arc /= arc
+    if samples.phi_x is None:
+        return d_ys, d_arc * yp
+    d_zp = d_arc * zp
+    d_ys += d_zp * d_fields[2] + (d_zp * yp) * d_fields[3]
+    return d_ys, d_arc * yp + d_zp * samples.phi_y

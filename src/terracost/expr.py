@@ -67,13 +67,40 @@ class DualValue(NamedTuple):
 # reads the exponent node.  Both traversals take values from ``_apply``, so a
 # value computed with partials has the same bits as one computed without.
 
+# A tangent that is zero by structure (of a constant, or d/dy of a part that
+# reads no y) is this one scalar, and the rules keep it so: a product or a
+# quotient of it is it, and a sum drops it.  At finite points that gives the
+# bits of the full rule, but for the sign of a zero; where the full rule
+# meets inf * 0 it gives 0 for NaN.
+_ZERO = 0.0
+
+
+def _add(p, q):
+    return q if p is _ZERO else p if q is _ZERO else p + q
+
+
+def _neg(p):
+    return p if p is _ZERO else -p
+
+
+def _mul(p, g):
+    return p if p is _ZERO else p * g
+
+
+def _div(p, g):
+    return p if p is _ZERO else p / g
+
+
 # symbol -> (value of a op b, dv given a, b, v and the tangents da, db)
 _OPERATORS = {
-    "+": (operator.add, lambda a, b, v, da, db: da + db),
-    "-": (operator.sub, lambda a, b, v, da, db: da - db),
-    "*": (operator.mul, lambda a, b, v, da, db: da * b + a * db),
-    "/": (operator.truediv, lambda a, b, v, da, db: (da - v * db) / b),
-    "^": (np.power, lambda a, b, v, da, db: v * (db * np.log(a) + b * da / a)),
+    "+": (operator.add, lambda a, b, v, da, db: _add(da, db)),
+    "-": (operator.sub, lambda a, b, v, da, db: _add(da, _neg(db))),
+    "*": (operator.mul, lambda a, b, v, da, db: _add(_mul(da, b), _mul(db, a))),
+    "/": (operator.truediv, lambda a, b, v, da, db: _div(_add(da, _neg(_mul(db, v))), b)),
+    "^": (
+        np.power,
+        lambda a, b, v, da, db: _mul(_add(_mul(db, np.log(a)), _div(_mul(da, b), a)), v),
+    ),
 }
 
 # name -> (value, dv/du given the argument u and the value v)
@@ -101,7 +128,7 @@ class Literal:
         return self.value
 
     def _dual(self, x, y):
-        return self.value, 0.0, 0.0
+        return self.value, _ZERO, _ZERO
 
     def render(self) -> str:
         return repr(self.value)
@@ -116,8 +143,8 @@ class Variable:
 
     def _dual(self, x, y):
         if self.name == "x":
-            return x, 1.0, 0.0
-        return y, 0.0, 1.0
+            return x, 1.0, _ZERO
+        return y, _ZERO, 1.0
 
     def render(self) -> str:
         return self.name
@@ -132,7 +159,7 @@ class Negate:
 
     def _dual(self, x, y):
         v, dx, dy = self.arg._dual(x, y)
-        return -v, -dx, -dy
+        return -v, _neg(dx), _neg(dy)
 
     def render(self) -> str:
         return f"(-{self.arg.render()})"
@@ -163,9 +190,9 @@ class Binary:
             # negative bases with integer b, where the log form is not.  a^0
             # is the constant 1, also at a = 0 where the rule gives 0 * inf.
             if b == 0.0:
-                return v, 0.0, 0.0
+                return v, _ZERO, _ZERO
             g = b * np.power(a, b - 1.0)
-            return v, g * adx, g * ady
+            return v, _mul(adx, g), _mul(ady, g)
         rule = _OPERATORS[self.op][1]
         return v, rule(a, b, v, adx, bdx), rule(a, b, v, ady, bdy)
 
@@ -204,7 +231,7 @@ class Call:
         u, udx, udy = self.arg._dual(x, y)
         v = self._apply(u)
         g = _FUNCTIONS[self.func][1](u, v)
-        return v, g * udx, g * udy
+        return v, _mul(udx, g), _mul(udy, g)
 
     def render(self) -> str:
         return f"{self.func}({self.arg.render()})"

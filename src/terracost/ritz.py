@@ -6,10 +6,11 @@ Candidates take the form
 
 so both boundary conditions hold for every coefficient vector and the
 search is over the K coefficients alone.  The objective is the smooth-path
-cost on a fixed quadrature mesh, minimized by BFGS with forward-difference
-gradients (K objective calls each) and Armijo backtracking, in numpy
-alone; differentiating through the nested delivery integral is not worth
-the trouble for a cross-check solver.
+cost on a fixed quadrature mesh, minimized by BFGS with Armijo
+backtracking, in numpy alone.  Its gradient is one reverse pass through
+the quadrature (:func:`~terracost.cost.smooth_path_gradient`), chained to
+the coefficients through the tabulated basis, at the price of about three
+and a half objective calls; only the chain to the coefficients grows with K.
 
 Only the coefficients change between objective calls, so the trial-space
 basis (sin and cos of every mesh sample times every frequency, and the
@@ -30,7 +31,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import REFUSALS, CostModel, at_abscissae, smooth_mesh, smooth_path_cost
+from .cost import (
+    REFUSALS,
+    CostModel,
+    at_abscissae,
+    smooth_mesh,
+    smooth_path_cost,
+    smooth_path_gradient,
+)
 
 __all__ = ["RitzCandidate", "RitzResult", "candidate_eval", "minimize", "objective"]
 
@@ -101,6 +109,18 @@ def _series(basis: _SampledBasis, a: np.ndarray):
     return basis.chord + y, basis.chord_slope + yp
 
 
+def _coefficient_gradient(basis: _SampledBasis, d_ys: np.ndarray, d_yp: np.ndarray):
+    """dJ/da from dJ/dy and dJ/dy' at the samples, through the tabulated basis.
+
+    Each term's sum reduces one contiguous row of products, so its order is
+    fixed and no BLAS build regroups it.
+    """
+    k = basis.freqs.size
+    values = (basis.sin_xk * d_ys).reshape(k, -1).sum(axis=1)
+    slopes = (basis.cos_xk * d_yp).reshape(k, -1).sum(axis=1)
+    return values + basis.freqs * slopes
+
+
 @functools.lru_cache(maxsize=8)
 def _mesh_basis(span, end_ordinate, basis_size, mesh_points, q):
     """(xs, h, basis) on the smooth mesh; every caller shares the arrays."""
@@ -145,14 +165,15 @@ def minimize(
     """BFGS descent from the plain chord (all coefficients zero).
 
     The search stops at a stationary point (see :func:`_bfgs`) or after
-    ``budget`` objective evaluations, gradient probes included, whichever
-    comes first.  Exhausting the budget is reported via ``converged``, not
-    raised.  No accepted step raises the cost, so the result never
-    exceeds the zero-coefficient cost.  The chord's pricing errors are
-    raised; a later candidate whose pricing the fields refuse (see
-    :data:`~terracost.cost.REFUSALS`) is priced as +inf, so only that
-    trial is rejected.  Every evaluation prices on the same mesh, so the
-    fields are bound to its abscissae once, up front.
+    ``budget`` evaluations, whichever comes first, where pricing a candidate
+    and taking its gradient each count as one.  Exhausting the budget is
+    reported via ``converged``, not raised.  No accepted step raises the
+    cost, so the result never exceeds the zero-coefficient cost.  The
+    chord's pricing errors are raised; a later candidate whose pricing the
+    fields refuse (see :data:`~terracost.cost.REFUSALS`) is priced as +inf,
+    so only that trial is rejected, and a gradient they refuse ends the
+    search.  Every evaluation prices on the same mesh, so the fields are
+    bound to its abscissae once, up front.
     """
     if basis_size < 1:
         raise ValueError(f"basis_size must be >= 1, got {basis_size}")
@@ -161,7 +182,7 @@ def minimize(
     x0 = np.zeros(basis_size)
     RitzCandidate(x0, span, end_ordinate, mesh_points)  # checks the trial space first
     q = model.quadrature_subdivisions
-    xs, _, _ = _mesh_basis(span, end_ordinate, basis_size, mesh_points, q)
+    xs, h, basis = _mesh_basis(span, end_ordinate, basis_size, mesh_points, q)
     bound = at_abscissae(model, xs)
 
     def fun(a: np.ndarray) -> float:
@@ -169,12 +190,24 @@ def minimize(
         return objective(cand, bound)
 
     def trial(a: np.ndarray) -> float:
-        try:
-            return fun(a)
-        except REFUSALS:  # any other error is a fault, and is raised
-            return np.inf
+        # A trial whose pricing overflows is refused as not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return fun(a)
+            except REFUSALS:  # any other error is a fault, and is raised
+                return np.inf
 
-    x, cost, evaluations, converged = _bfgs(trial, x0, fun(x0), budget)
+    def grad(a: np.ndarray) -> np.ndarray:
+        # A gradient that overflows, or that the fields refuse, is not finite
+        # and ends the search.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                d_ys, d_yp = smooth_path_gradient(bound, xs, *_series(basis, a), h)
+            except REFUSALS:
+                return np.full(a.size, np.nan)
+            return _coefficient_gradient(basis, d_ys, d_yp)
+
+    x, cost, evaluations, converged = _bfgs(trial, grad, x0, fun(x0), budget)
     return RitzResult(
         candidate=RitzCandidate(x, span, end_ordinate, mesh_points),
         cost=cost,
@@ -183,9 +216,6 @@ def minimize(
     )
 
 
-# Forward-difference step relative to max(1, |a_k|): the square root of the
-# rounding unit balances truncation against cancellation.
-_DIFF_STEP = float(np.sqrt(np.finfo(float).eps))
 _GRADIENT_TOL = 1e-6  # stop once every gradient component is this small,
 _DECREASE_TOL = 1e-13  # or once a step lowers the cost by this relative amount at most,
 _MIN_STEP = 1e-10  # or once backtracking cuts the full step below this fraction
@@ -196,45 +226,46 @@ class _Stop(Exception):
     """Ends the search at the current point; its argument is ``converged``."""
 
 
-def _bfgs(fun, x: np.ndarray, fx: float, budget: int):
-    """Minimize ``fun`` from ``x``, where it is ``fx``, by BFGS with forward differences.
+def _bfgs(fun, grad, x: np.ndarray, fx: float, budget: int):
+    """Minimize ``fun``, whose gradient is ``grad``, from ``x``, where it is ``fx``, by BFGS.
 
-    The inverse-Hessian approximation is a dense matrix from the identity,
+    Until the first update the step is the negative gradient, scaled so that
+    no coordinate moves by more than 1; the first update starts the
+    inverse-Hessian approximation from (s.y / y.y) times the identity
+    (Nocedal & Wright, *Numerical Optimization*, 2nd ed., eq. 6.20).  It is
     updated only when the curvature s.y is positive, so it stays positive
     definite and every direction descends; the step backtracks by halves
-    from the full one until the Armijo condition holds (Nocedal & Wright,
-    *Numerical Optimization*, 2nd ed., ch. 6).  The search stops at the
-    first of the tolerances above, or at the call that would exceed
-    ``budget``, which ends the step in flight; every call counts, gradient
-    probes included, and so does the caller's one for ``fx``.  A trial
-    step that costs +inf is backtracked; a gradient that is not finite
-    ends the search at the current point.  Returns (x, f, evaluations,
-    converged).
+    from the full one until the Armijo condition holds (ch. 6).  The search
+    stops at the first of the tolerances above, or at the call that would
+    exceed ``budget``, which ends the step in flight; a call of ``fun`` and
+    one of ``grad`` each count as one evaluation, and so does the caller's
+    one for ``fx``.  A trial step that costs +inf is backtracked; a gradient
+    that is not finite ends the search at the current point.  Returns (x, f,
+    evaluations, converged).
     """
     evaluations = 1
 
-    def f(a):
+    def counted(function, a):
         nonlocal evaluations
         if evaluations >= budget:
             raise _Stop(False)
         evaluations += 1
-        return fun(a)
+        return function(a)
 
-    def gradient(a, fa):
-        probes = a + np.diag(_DIFF_STEP * np.maximum(1.0, np.abs(a)))
-        g = np.array([f(probe) - fa for probe in probes]) / (probes.diagonal() - a)
+    def gradient(a):
+        g = counted(grad, a)
         if not np.isfinite(g).all():
             raise _Stop(True)
         return g
 
     try:
-        g = gradient(x, fx)
-        h = np.eye(x.size)
+        g = gradient(x)
+        h = None
         while np.max(np.abs(g)) > _GRADIENT_TOL:
-            p = -(h @ g)
+            p = -g / max(1.0, np.max(np.abs(g))) if h is None else -(h @ g)
             slope = g @ p
             t = 1.0
-            while (f_new := f(x + t * p)) > fx + _ARMIJO * t * slope:
+            while (f_new := counted(fun, x + t * p)) > fx + _ARMIJO * t * slope:
                 t *= 0.5
                 if t < _MIN_STEP:
                     return x, fx, evaluations, True
@@ -242,9 +273,11 @@ def _bfgs(fun, x: np.ndarray, fx: float, budget: int):
             if fx - f_new <= _DECREASE_TOL * abs(f_new):
                 return x + s, f_new, evaluations, True
             x, fx, g_old = x + s, f_new, g
-            g = gradient(x, fx)
+            g = gradient(x)
             y = g - g_old
             if (sy := s @ y) > 0:
+                if h is None:
+                    h = sy / (y @ y) * np.eye(x.size)
                 v = np.eye(x.size) - np.outer(s, y) / sy
                 h = v @ h @ v.T + np.outer(s, s) / sy
     except _Stop as stop:

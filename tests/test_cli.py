@@ -868,7 +868,7 @@ def test_a_ritz_trial_the_fields_refuse_rejects_only_that_trial(tmp_path, fields
     # BFGS's trial steps reach points where beta is negative (y < -0.2), where
     # exp overflows (y > 0.71) or outside the heightmap: each such trial is
     # backtracked, and the solve ends no higher than the chord's cost (at it
-    # under exp(1000*y), whose every trial step along the gradient overflows).
+    # under exp(1000*y), whose solved curve the knots do not resolve; see below).
     write_hill(tmp_path / "hill.hm")
     problem = {"l": 1.0, "y_l": 1.0, "corridor": [0.0, 1.0], "mode": "flat2d", **problem}
     costs = {}
@@ -883,6 +883,32 @@ def test_a_ritz_trial_the_fields_refuse_rejects_only_that_trial(tmp_path, fields
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
         costs[budget] = json.loads((out / "report.json").read_text())["J"]
     assert np.isfinite(costs[50000]) and costs[50000] <= costs[1]
+
+
+def test_ritz_reports_the_chord_for_a_solved_curve_the_knots_do_not_resolve(tmp_path):
+    # Under beta = exp(1000*y) the descent leaves the chord and lowers the
+    # smooth objective along curves whose slope reaches thousands, which the
+    # 64-knot polyline that J prices does not resolve: it prices them above
+    # the chord, so the report keeps the chord and says why.
+    reports, outputs = {}, {}
+    for budget in (1, 50000):
+        config = write_config(
+            tmp_path,
+            problem={"l": 1.0, "y_l": 0.3, "corridor": [0.0, 1.0], "mode": "flat2d"},
+            fields={"alpha": {"expression": "0.1"}, "beta": {"expression": "exp(1000*y)"}},
+            solver={"method": "ritz", "budget": budget, "K": 3, "M": 64},
+        )
+        out = tmp_path / f"budget{budget}"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        reports[budget] = json.loads((out / "report.json").read_text())
+        outputs[budget] = [(out / name).read_bytes() for name in ("traj.csv", "plot.dat")]
+    chord, solved = reports[1], reports[50000]
+    assert solved["objective_evaluations"] > 1 and not solved["budget_exhausted"]
+    assert solved["J"] == chord["J"] and solved["objective_smooth"] == chord["objective_smooth"]
+    assert outputs[50000] == outputs[1]
+    assert chord["warnings"] == []
+    [warning] = solved["warnings"]
+    assert "64-knot polyline" in warning and "so the chord is reported" in warning
 
 
 # A disc on the midpoint of the ritz-relief3d optimum, which ritz cannot see.
@@ -921,7 +947,7 @@ def test_ritz_warns_of_a_path_through_the_mask(tmp_path, capsys):
     for key in ("wall_time_s", "warnings"):
         clean_report.pop(key), masked_report.pop(key)
     assert masked_report == clean_report
-    assert masked_report["objective_evaluations"] == 292
+    assert masked_report["objective_evaluations"] == 58
     for output in ("traj.csv", "plot.dat"):
         assert (masked / output).read_bytes() == (clean / output).read_bytes()
 

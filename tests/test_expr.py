@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from terracost.expr import (
+    _FUNCTIONS,
     Binary,
     Call,
     DualValue,
@@ -225,6 +226,74 @@ def test_constants_have_exactly_zero_partials():
     # a^0 is the constant 1, also at a zero base (the power rule gives 0 * inf).
     for text in ("x^0", "(x*y)^0.0"):
         assert parse(text).eval_dual(0.0, 0.0) == DualValue(1.0, 0.0, 0.0)
+
+
+def _full_dual(node, x, y):
+    # The tangent rules with every zero tangent carried through the
+    # arithmetic, as literals and variables seed them.
+    if isinstance(node, Literal):
+        return node.value, 0.0, 0.0
+    if isinstance(node, Variable):
+        return (x, 1.0, 0.0) if node.name == "x" else (y, 0.0, 1.0)
+    if isinstance(node, Negate):
+        v, dx, dy = _full_dual(node.arg, x, y)
+        return -v, -dx, -dy
+    if isinstance(node, Call):
+        u, udx, udy = _full_dual(node.arg, x, y)
+        v = node._apply(u)
+        g = _FUNCTIONS[node.func][1](u, v)
+        return v, g * udx, g * udy
+    (a, adx, ady), (b, bdx, bdy) = _full_dual(node.lhs, x, y), _full_dual(node.rhs, x, y)
+    v = node._apply(a, b)
+    if node.op == "^" and isinstance(node.rhs, Literal):
+        g = b * np.power(a, b - 1.0)
+        return (v, 0.0, 0.0) if b == 0.0 else (v, g * adx, g * ady)
+    rule = {
+        "+": lambda da, db: da + db,
+        "-": lambda da, db: da - db,
+        "*": lambda da, db: da * b + a * db,
+        "/": lambda da, db: (da - v * db) / b,
+        "^": lambda da, db: v * (db * np.log(a) + b * da / a),
+    }[node.op]
+    return v, rule(adx, bdx), rule(ady, bdy)
+
+
+SEED_EXPRESSIONS = [
+    "cos(5*x)^2*cos(y)^2",
+    "1+sin(5*x)*sin(y)",
+    "sin(5*x)*sin(y)",
+    "0.1",
+    "0.5",
+    "0.0036-(x-0.6406585987282475)^2-(y-0.34581792391687)^2",
+]
+
+
+@pytest.mark.parametrize("text", SEED_EXPRESSIONS + SAMPLE_EXPRESSIONS[4:])
+def test_zero_tangents_keep_the_bits_of_the_full_rules(text):
+    # Skipping a structurally zero tangent changes no bit of a value or a
+    # partial at finite points, on the benchmark's expressions and the rest.
+    e = parse(text)
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-1.5, 1.5, (2, 17, 33))
+    points = [(x, y), (x[:, :1], y), (0.3, 0.7)]
+    points += [(xs, 0.2 + xs) for xs in (smooth_mesh(64, 1.0, 16)[0],)]
+    for px, py in points:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = np.broadcast_arrays(*_full_dual(e.root, px, py), px, py)[:3]
+        got = np.broadcast_arrays(*e.eval_dual(px, py), px, py)[:3]
+        assert [part.tobytes() for part in got] == [part.tobytes() for part in want]
+
+
+def test_zero_tangents_stay_scalar():
+    xs, _ = smooth_mesh(512, 1.0, 16)
+    lhs = parse("sin(5*x)*sin(y)").at_x(xs).root.lhs
+    assert isinstance(lhs, Sampled) and lhs.dx.shape == xs.shape
+    assert type(lhs.dy) is float and lhs.dy == 0.0
+    v, dx, dy = parse("0.0036-(x-0.64)^2").eval_dual(xs, 0.3 + xs)
+    assert dx.shape == xs.shape and type(dy) is float and dy == 0.0
+    # Where the full rules meet inf * 0 (exp overflows, times d(1000*y)/dx),
+    # the zero tangent stays 0, not NaN.
+    assert parse("exp(1000*y)").eval_dual(0.5, 1.0) == DualValue(np.inf, 0.0, np.inf)
 
 
 def test_abs_subgradient_zero_at_kink():

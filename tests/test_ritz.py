@@ -15,17 +15,19 @@ import terracost
 from terracost import (
     CostMode,
     CostModel,
+    FieldDomainError,
     Heightmap,
     field_from_expression,
     field_from_heightmap,
     smooth_mesh,
     smooth_path_cost,
 )
-from terracost.cost import at_abscissae
+from terracost.cost import _Y_STEP, _sample, at_abscissae, smooth_path_gradient
 from terracost.expr import Sampled
 from terracost.ritz import (
     RitzCandidate,
     _bfgs,
+    _coefficient_gradient,
     _mesh_basis,
     _sample_basis,
     _series,
@@ -175,6 +177,19 @@ BIT_MODELS = {**{name: lambda make=make: make().model for name, make in SPECS.it
               "heightmap3d": heightmap_model}
 
 
+def edge_heightmap_model():
+    # heightmap_model's relief on the footprint [0, 1] x [0, 1], so that a
+    # curve from (0, 0) to (1, 1) starts on its lower edge.
+    gx = gy = np.linspace(0.0, 1.0, 17)
+    z = 0.2 * np.exp(-((gx[None, :] - 0.6) ** 2 + (gy[:, None] - 0.4) ** 2) / 0.045)
+    return CostModel(
+        alpha=field_from_expression("0.1*(1+x^2)*cos(y)^2"),
+        beta=field_from_expression("0.5+0.1*sin(3*x)"),
+        phi=field_from_heightmap(Heightmap(0.0, 0.0, gx[1] - gx[0], gy[1] - gy[0], z)),
+        quadrature_subdivisions=16,
+    )
+
+
 @pytest.mark.parametrize("mesh_points", [64, 512])
 @pytest.mark.parametrize("basis_size", [1, 5, 10])
 @pytest.mark.parametrize("problem", ["ridge2d", "relief3d", "heightmap3d"])
@@ -191,12 +206,85 @@ def test_cached_objective_is_bit_identical(problem, basis_size, mesh_points):
         assert objective(cand, bound) == objective(cand, model)
 
 
+def coefficient_gradient(model, a, mesh_points=512):
+    # dJ/da by the reverse pass, as minimize takes it.
+    xs, h, basis = _mesh_basis(1.0, 1.0, a.size, mesh_points, model.quadrature_subdivisions)
+    return _coefficient_gradient(basis, *smooth_path_gradient(model, xs, *_series(basis, a), h))
+
+
+def central_differences(model, a, mesh_points=512, step=1e-6):
+    # A heightmap's partials bend wherever a sample crosses a cell boundary
+    # of its C^1 interpolant, and so does the objective; a short step
+    # straddles few of those bends.
+    def cost(b):
+        return objective(RitzCandidate(b, 1.0, 1.0, mesh_points), model)
+
+    return np.array([(cost(a + e) - cost(a - e)) / (2 * step) for e in step * np.eye(a.size)])
+
+
+@pytest.mark.parametrize("basis_size", [3, 10])
+@pytest.mark.parametrize("problem", ["ridge2d", "relief3d", "heightmap3d", "heightmap-edge"])
+def test_gradient_matches_central_differences_of_the_objective(problem, basis_size):
+    if problem == "heightmap-edge":
+        # y = x - 0.99 sin(pi x) / pi leaves (0, 0) at slope 0.01, so the
+        # samples next to it lie within the y-step of the footprint's edge
+        # y = 0, and every sample's y-partials are taken upward alone.
+        model, a = edge_heightmap_model(), -0.99 / np.pi * np.eye(basis_size)[0]
+        xs, _, basis = _mesh_basis(1.0, 1.0, basis_size, 512, 16)
+        ys = _series(basis, a)[0]
+        with pytest.raises(FieldDomainError):
+            _sample(model, xs[1:, :1], ys[1:, :1] - _Y_STEP)  # the first cell, but x = 0
+    else:
+        model = BIT_MODELS[problem]()
+        a = np.random.default_rng(basis_size).normal(scale=0.3, size=basis_size)
+    gradient, reference = coefficient_gradient(model, a), central_differences(model, a)
+    np.testing.assert_allclose(gradient, reference, rtol=0, atol=1e-7 * np.abs(reference).max())
+
+
+def test_gradient_is_one_sided_where_the_fields_refuse_one_side():
+    # sqrt(y - x) refuses every point below the chord and adds nothing to beta
+    # above it, so at the chord the gradient is taken upward alone; it agrees
+    # with the two-sided one of the same beta without the refusal to rounding,
+    # since the one-sided difference is of second order.
+    refusing = flat_model(alpha="0.1", beta="1+y^2+0*sqrt(y-x)")
+    a = np.zeros(3)
+    one_sided = coefficient_gradient(refusing, a, mesh_points=64)
+    two_sided = coefficient_gradient(flat_model(alpha="0.1", beta="1+y^2"), a, mesh_points=64)
+    assert not np.array_equal(one_sided, two_sided)
+    np.testing.assert_allclose(one_sided, two_sided, rtol=0, atol=1e-7 * np.abs(two_sided).max())
+
+
+def test_a_huge_gradient_leaves_the_chord():
+    # Under beta = exp(1000*y) the gradient at the chord is about 1e130; the
+    # first step, which moves no coefficient by more than 1, still descends.
+    model = flat_model(alpha="0.1", beta="exp(1000*y)")
+    result = minimize(model, 1.0, 0.3, basis_size=3, mesh_points=64, budget=10)
+    assert result.cost < objective(RitzCandidate(np.zeros(3), 1.0, 0.3, 64), model)
+
+
+def test_a_gradient_refused_on_both_sides_ends_the_search_at_the_chord():
+    # sqrt(-(y - x)^2) is defined on the chord y = x alone: the chord is
+    # priced, but its gradient's shifted samples are refused above and below.
+    model = flat_model(alpha="0.1", beta="1+sqrt(-(y-x)^2)")
+    result = minimize(model, 1.0, 1.0, basis_size=3, mesh_points=64)
+    assert result.converged and result.evaluations == 2
+    assert not result.candidate.coefficients.any()
+    assert result.cost == objective(RitzCandidate(np.zeros(3), 1.0, 1.0, 64), model)
+
+
 def test_minimize_prices_with_fields_bound_to_the_mesh(monkeypatch):
+    # The chord, its gradient and two trials all price one model bound to the mesh.
     models = []
     monkeypatch.setattr(terracost.ritz, "objective", lambda cand, model: models.append(model) or 1.0)
+
+    def gradient(model, xs, ys, yp, h):
+        models.append(model)
+        return np.ones_like(ys), np.zeros_like(yp)
+
+    monkeypatch.setattr(terracost.ritz, "smooth_path_gradient", gradient)
     model = make_relief3d_spec().model
-    minimize(model, 1.0, 1.0, basis_size=2, mesh_points=64, budget=3)
-    assert len(models) == 3 and all(m is models[0] for m in models)
+    minimize(model, 1.0, 1.0, basis_size=2, mesh_points=64, budget=4)
+    assert len(models) == 4 and all(m is models[0] for m in models)
     assert isinstance(models[0].phi.expression.root.lhs, Sampled)  # sin(5*x)
     assert models[0].phi.expression.render() == model.phi.expression.render()
 
@@ -293,16 +381,16 @@ def test_larger_basis_never_worse(ritz_cached):
 
 def test_budget_exhaustion_reported_not_raised():
     model = make_ridge2d_spec().model
-    result = minimize(model, 1.0, 1.0, basis_size=10, budget=50)
-    assert result.evaluations == 50
+    result = minimize(model, 1.0, 1.0, basis_size=10, budget=20)
+    assert result.evaluations == 20
     assert not result.converged
     assert result.cost <= objective(RitzCandidate(np.zeros(10), 1.0, 1.0), model)
 
 
-@pytest.mark.parametrize("budget", [1, 11])
+@pytest.mark.parametrize("budget", [1, 2])
 def test_budget_spent_before_the_first_step_keeps_the_chord(budget):
-    # 1 prices the chord; 11 adds its K = 10 gradient probes, so the first
-    # line search is cut at its first call.
+    # 1 prices the chord; 2 adds its gradient, one evaluation whatever K is,
+    # so the first line search is cut at its first call.
     model = make_ridge2d_spec().model
     result = minimize(model, 1.0, 1.0, basis_size=10, budget=budget)
     assert result.evaluations == budget
@@ -323,24 +411,33 @@ def test_bfgs_finds_the_minimizer_of_a_convex_quadratic():
         d = a - target
         return 0.5 * d @ hessian @ d + 1.0
 
+    def grad(a):
+        calls.append(a)
+        return hessian @ (a - target)
+
     x0 = np.zeros(6)
-    x, fx, evaluations, converged = _bfgs(fun, x0, fun(x0), 10000)
+    x, fx, evaluations, converged = _bfgs(fun, grad, x0, fun(x0), 10000)
     assert converged and evaluations == len(calls) < 10000
     np.testing.assert_allclose(x, target, atol=1e-6)
     assert fx == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bfgs_backtracks_from_an_unpriced_trial_and_stops_at_an_unpriced_probe():
-    # (a - 1)^2 cannot be priced beyond a = 1/2.  The first step backtracks
-    # from a = 2 and a = 1 to just below 1/2; there a gradient probe cannot
-    # be priced, so the search ends at that point, with budget to spare.
+    # (a - 1)^2 cannot be priced beyond a = 1/2, nor its gradient beyond
+    # a = 1/4.  The first step, capped at a move of 1, backtracks from a = 1
+    # to a = 1/2; there the gradient cannot be priced, so the search ends at
+    # that point, with budget to spare: the value at 0, the gradient at 0,
+    # two trials and the gradient at 1/2.
     def fun(a):
         return np.inf if a[0] > 0.5 else float((a[0] - 1.0) ** 2)
 
+    def grad(a):
+        return np.full(1, np.nan) if a[0] > 0.25 else 2.0 * (a - 1.0)
+
     x0 = np.zeros(1)
-    x, fx, evaluations, converged = _bfgs(fun, x0, fun(x0), 100)
-    assert converged and evaluations == 6
-    assert x[0] == pytest.approx(0.5) and x[0] <= 0.5 and fx == fun(x)
+    x, fx, evaluations, converged = _bfgs(fun, grad, x0, fun(x0), 100)
+    assert converged and evaluations == 5
+    assert x[0] == 0.5 and fx == fun(x)
 
 
 @pytest.mark.parametrize("basis_size", [3, 10])
